@@ -4,12 +4,19 @@ Rejects anything outside the grammar; on success the parsed rules compare
 structurally equal to the rules the text was emitted from.  The layout
 header comments (``-- lmap:`` / ``-- md:``) are read back so the address
 tables survive the round trip.
+
+The text is read in one lazy pass: the parser scans the next token from
+the text at its current offset when it needs it, and matches a whole
+parameter or argument list with one regular expression.  Line and column
+are computed from the offset only when an error is raised.  One scan up
+front finds the first character outside the token set, so a bad character
+is reported even when a grammar error comes before it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 
 from .errors import RbrSyntaxError
 from .rbr import (
@@ -32,160 +39,175 @@ from .rbr import (
 
 _BIN_OPS = "+-*/%^"
 _ASSIGN_TARGET = re.compile(r"^(?:[sgl]\d+|gl|ll|gs[12]|ls[12]|fresh_\d+)$")
+_RULE_ID = re.compile(r"(block|jump)_([0-9]+)(?:_c([0-9]+))?")
+_FRESH = re.compile(r"fresh_([0-9]+)")
 _LMAP_LINE = re.compile(r"^--\s*lmap:\s*(.*?)\s*$", re.M)
 _LMAP_ENTRY = re.compile(r"^(\d+)\s*->\s*l(\d+)$")
 _MD_LINE = re.compile(r"^--\s*md:\s*(.*?)\s*$", re.M)
 _MD_ENTRY = re.compile(r"^md(\d+)\s*=\s*calldata\[(\d+)\]$")
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>--[^\n]*)|(?P<arrow>=>)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)"
-    r"|(?P<punct>[(),|=+\-*/%^])"
-)
+# Whitespace and comments between tokens.  A comment must run to the end of
+# its line, so a failed match cannot resume inside one.
+_SKIP = r"\s*(?:--[^\n]*(?![^\n])\s*)*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+# Groups: 1 "=>", 2 name, 3 numeral, 4 punctuation; none at the end of text.
+_TOKEN = re.compile(_SKIP + rf"(?:(=>)|({_NAME})|(\d+)|([(),|=+\-*/%^])|\Z)")
+_KINDS = {None: "eof", 2: "name", 3: "num"}  # else the token text is its kind
+_NEXT = {"(": re.compile(_SKIP + r"\("), "=": re.compile(_SKIP + r"=(?!>)")}
+# Comments and arrows may hold any character; outside them these begin no token.
+_COMMENT_OR_ARROW = re.compile(r"--[^\n]*|=>")
+_OTHER = re.compile(r"[^\s\dA-Za-z_(),|=+\-*/%^]")
+# A whole name list without comments; any other list takes the token path.
+_NAME_LIST = re.compile(_SKIP + rf"\(\s*((?:{_NAME}\s*,\s*)*{_NAME})?\s*\)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "num", "=>", or the punctuation character
-    text: str
-    line: int
-    col: int
+def _error(text: str, offset: int, what: str) -> RbrSyntaxError:
+    line = text.count("\n", 0, offset) + 1
+    return RbrSyntaxError(line, offset - text.rfind("\n", 0, offset), what)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise RbrSyntaxError(line, col, f"a token (found {text[pos]!r})")
-        group = match.lastgroup
-        value = match.group()
-        if group == "name":
-            tokens.append(_Token("name", value, line, col))
-        elif group == "num":
-            tokens.append(_Token("num", value, line, col))
-        elif group == "arrow":
-            tokens.append(_Token("=>", value, line, col))
-        elif group == "punct":
-            tokens.append(_Token(value, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _numeral(text: str, offset: int, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise _error(text, offset, f"a numeral of at most {limit} digits") from None
 
 
-def _parse_headers(text: str) -> tuple[dict[int, int], tuple[int, ...]]:
-    lmap: dict[int, int] = {}
-    match = _LMAP_LINE.search(text)
-    if match and match.group(1):
+def _header_table(text: str, line_re, entry_re, groups) -> list[tuple[int, ...]]:
+    """The numerals in ``groups`` of each well-formed entry of the first header line."""
+    table = []
+    match = line_re.search(text)
+    if match:
+        offset = match.start(1)
         for part in match.group(1).split(","):
-            entry = _LMAP_ENTRY.match(part.strip())
+            entry = entry_re.match(part.strip())
             if entry:
-                lmap[int(entry.group(1))] = int(entry.group(2))
-    offsets: list[int] = []
-    match = _MD_LINE.search(text)
-    if match and match.group(1):
-        for part in match.group(1).split(","):
-            entry = _MD_ENTRY.match(part.strip())
-            if entry:
-                offsets.append(int(entry.group(2)))
-    return lmap, tuple(offsets)
+                at = offset + len(part) - len(part.lstrip())
+                table.append(tuple(
+                    _numeral(text, at + entry.start(i), entry.group(i)) for i in groups
+                ))
+            offset += len(part) + 1
+    return table
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Scans tokens from ``text`` on demand.
+
+    ``pos`` is the offset just past the last consumed token.  ``peek``
+    scans the token after it into ``kind``/``value``/``start``/``end``,
+    which stay valid for that token until the next ``peek``.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
         self.pos = 0
+        self.scanned = -1  # the ``pos`` the current token was scanned from
+        self.layout: VarLayout | None = None
+        self.params: list[str] = []  # layout.param_names(), built once
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> str:
+        if self.scanned != self.pos:
+            match = _TOKEN.match(self.text, self.pos)
+            group = match.lastindex
+            self.scanned, self.end = self.pos, match.end()
+            self.start = match.start(group) if group else self.end
+            self.value = match.group(group) if group else ""
+            self.kind = _KINDS.get(group, self.value)
+        return self.kind
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def advance(self) -> str:
+        self.peek()
+        self.pos = self.end
+        return self.value
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise RbrSyntaxError(tok.line, tok.col, what or repr(kind))
+    def expect(self, kind: str, what: str) -> str:
+        if self.peek() != kind:
+            raise self.fail(what)
         return self.advance()
 
-    def fail(self, what: str) -> RbrSyntaxError:
-        tok = self.peek()
-        return RbrSyntaxError(tok.line, tok.col, what)
+    def next_is(self, kind: str) -> bool:
+        """Whether the token after the current one is ``(`` or ``=``."""
+        self.peek()
+        return _NEXT[kind].match(self.text, self.end) is not None
+
+    def fail(self, what: str, offset: int | None = None) -> RbrSyntaxError:
+        self.peek()
+        return _error(self.text, self.start if offset is None else offset, what)
+
+    def name_list(self) -> list[str]:
+        match = _NAME_LIST.match(self.text, self.pos)
+        if match:
+            self.pos = match.end()
+            return _NAME_RE.findall(match.group(1) or "")
+        self.expect("(", "'('")
+        names = []
+        if self.peek() != ")":
+            while True:
+                names.append(self.expect("name", "a variable name"))
+                if self.peek() != ",":
+                    break
+                self.advance()
+        self.expect(")", "')'")
+        return names
 
 
 def parse_rbr(text: str) -> list[Rule]:
     """Parse rule text; raises RbrSyntaxError outside the grammar."""
-    lmap, md_offsets = _parse_headers(text)
-    parser = _Parser(_tokenize(text))
+    lmap = dict(_header_table(text, _LMAP_LINE, _LMAP_ENTRY, (1, 2)))
+    md_offsets = tuple(off for off, in _header_table(text, _MD_LINE, _MD_ENTRY, (2,)))
+    # Blank out comments and arrows, keeping offsets, and look for what is left.
+    bad = _OTHER.search(_COMMENT_OR_ARROW.sub(lambda m: " " * len(m.group()), text))
+    if bad:
+        raise _error(text, bad.start(), f"a token (found {text[bad.start()]!r})")
+    parser = _Parser(text)
     rules: list[Rule] = []
-    layout: VarLayout | None = None
-    while parser.peek().kind != "eof":
-        rule, layout = _parse_rule(parser, layout, lmap, md_offsets)
-        rules.append(rule)
+    while parser.peek() != "eof":
+        rules.append(_parse_rule(parser, lmap, md_offsets))
     return rules
 
 
-def _parse_rule(parser, layout, lmap, md_offsets):
-    name_tok = parser.expect("name", "a rule name")
-    name = name_tok.text
-    if not (name.startswith("block_") or name.startswith("jump_")):
-        raise RbrSyntaxError(name_tok.line, name_tok.col, "block_* or jump_* rule name")
-    params = _parse_name_list(parser)
+def _parse_rule(parser, lmap, md_offsets) -> Rule:
+    name = parser.expect("name", "a rule name")
+    at = parser.start
+    rule_id = _indexed_name(parser, _RULE_ID, name, at, "block_* or jump_* rule name")
+    stack_count, rest = _split_stack_run(parser.name_list())
     parser.expect("=>", "'=>'")
 
-    stack_count, rest = _split_stack_run(params)
-    if layout is None:
-        layout = _layout_from_params(rest, lmap, md_offsets, name_tok)
-    elif rest != layout.param_names():
-        raise RbrSyntaxError(
-            name_tok.line, name_tok.col, "parameters consistent across rules"
-        )
+    if parser.layout is None:
+        parser.layout = _layout_from_params(rest, lmap, md_offsets, parser, at)
+        parser.params = parser.layout.param_names()
+    elif rest != parser.params:
+        raise parser.fail("parameters consistent across rules", at)
 
-    if name.startswith("jump_"):
+    if rule_id.group(1) == "jump":
         guard = _parse_guard(parser)
         parser.expect("|", "'|'")
-        call = _parse_call(parser, layout)
-        rule = Rule(name, stack_count, layout, guard, [], call)
-    else:
-        body, call = _parse_body(parser, layout)
-        rule = Rule(name, stack_count, layout, None, body, call)
-    return rule, layout
+        return Rule(name, stack_count, parser.layout, guard, [], _parse_call(parser))
+    body, call = _parse_body(parser)
+    return Rule(name, stack_count, parser.layout, None, body, call)
 
 
-def _parse_name_list(parser) -> list[str]:
-    parser.expect("(", "'('")
-    names = []
-    if parser.peek().kind != ")":
-        while True:
-            names.append(parser.expect("name", "a variable name").text)
-            if parser.peek().kind != ",":
-                break
-            parser.advance()
-    parser.expect(")", "')'")
-    return names
+def _indexed_name(parser, pattern, name: str, at: int, what: str):
+    """``name`` matched in full by ``pattern``, each digit group int-sized."""
+    match = pattern.fullmatch(name)
+    if match is None:
+        raise parser.fail(what, at)
+    for group, digits in enumerate(match.groups(), 1):
+        if digits and digits.isdigit():
+            _numeral(parser.text, at + match.start(group), digits)
+    return match
 
 
 def _split_stack_run(params: list[str]) -> tuple[int, list[str]]:
     count = 0
-    for name in params:
-        if name == f"s{count}":
-            count += 1
-        else:
-            break
+    while count < len(params) and params[count] == f"s{count}":
+        count += 1
     return count, params[count:]
 
 
-def _layout_from_params(rest, lmap, md_offsets, tok) -> VarLayout:
+def _layout_from_params(rest, lmap, md_offsets, parser, at) -> VarLayout:
     pos = 0
 
     def run(prefix: str) -> int:
@@ -201,12 +223,12 @@ def _layout_from_params(rest, lmap, md_offsets, tok) -> VarLayout:
     md = run("md")
     named = tuple(rest[pos:])
     if any(n.startswith(("s", "g", "l", "md")) and n[-1].isdigit() for n in named):
-        raise RbrSyntaxError(tok.line, tok.col, "parameters in canonical order")
+        raise parser.fail("parameters in canonical order", at)
     if lmap:
         if sorted(lmap.values()) != list(range(locals_)):
-            raise RbrSyntaxError(tok.line, tok.col, "lmap header matching l parameters")
+            raise parser.fail("lmap header matching l parameters", at)
     if md_offsets and len(md_offsets) != md:
-        raise RbrSyntaxError(tok.line, tok.col, "md header matching md parameters")
+        raise parser.fail("md header matching md parameters", at)
     return VarLayout(
         k=g - 1,
         r=locals_ - 1,
@@ -217,24 +239,24 @@ def _layout_from_params(rest, lmap, md_offsets, tok) -> VarLayout:
     )
 
 
-def _parse_body(parser, layout) -> tuple[list[Statement], Call | None]:
+def _parse_body(parser) -> tuple[list[Statement], Call | None]:
     body: list[Statement] = []
     call: Call | None = None
 
     def parse_item(required: bool) -> bool:
         nonlocal call
-        tok = parser.peek()
-        if tok.kind == "name":
-            if tok.text == "call" and parser.peek(1).kind == "(":
-                call = _parse_call(parser, layout)
+        if parser.peek() == "name":
+            word = parser.value
+            if word == "call" and parser.next_is("("):
+                call = _parse_call(parser)
                 return True
-            if tok.text == "nop" and parser.peek(1).kind == "(":
+            if word == "nop" and parser.next_is("("):
                 parser.advance()
                 parser.expect("(", "'('")
-                body.append(Nop(parser.expect("name", "a mnemonic").text))
+                body.append(Nop(parser.expect("name", "a mnemonic")))
                 parser.expect(")", "')'")
                 return True
-            if parser.peek(1).kind == "=":
+            if parser.next_is("="):
                 body.append(_parse_assign(parser))
                 return True
         if required:
@@ -243,7 +265,7 @@ def _parse_body(parser, layout) -> tuple[list[Statement], Call | None]:
 
     if not parse_item(required=False):
         return body, call
-    while parser.peek().kind == ",":
+    while parser.peek() == ",":
         if call is not None:
             raise parser.fail("the call to end the rule")
         parser.advance()
@@ -252,74 +274,70 @@ def _parse_body(parser, layout) -> tuple[list[Statement], Call | None]:
 
 
 def _parse_assign(parser) -> Assign:
-    target_tok = parser.expect("name", "an assignment target")
-    if not _ASSIGN_TARGET.match(target_tok.text):
-        raise RbrSyntaxError(
-            target_tok.line, target_tok.col, "a stack/field/local/rule-local target"
-        )
+    target = parser.expect("name", "an assignment target")
+    if not _ASSIGN_TARGET.match(target):
+        raise parser.fail("a stack/field/local/rule-local target", parser.start)
+    if target.startswith("fresh_"):
+        _indexed_name(parser, _FRESH, target, parser.start, "a fresh_<n> variable")
     parser.expect("=", "'='")
-    return Assign(target_tok.text, _parse_expr(parser))
+    return Assign(target, _parse_expr(parser))
 
 
 def _parse_expr(parser) -> Expr:
-    tok = parser.peek()
-    if tok.kind == "name" and tok.text in ("and", "or", "xor") and parser.peek(1).kind == "(":
+    word = parser.value if parser.peek() == "name" else None
+    if word in ("and", "or", "xor") and parser.next_is("("):
         parser.advance()
         parser.expect("(", "'('")
         lhs = _parse_atom(parser)
         parser.expect(",", "','")
         rhs = _parse_atom(parser)
         parser.expect(")", "')'")
-        return BitOp(tok.text, lhs, rhs)
-    if tok.kind == "name" and tok.text == "not" and parser.peek(1).kind == "(":
+        return BitOp(word, lhs, rhs)
+    if word == "not" and parser.next_is("("):
         parser.advance()
         parser.expect("(", "'('")
         operand = _parse_atom(parser)
         parser.expect(")", "')'")
         return Not(operand)
     lhs = _parse_atom(parser)
-    if parser.peek().kind in _BIN_OPS:
-        op = parser.advance().text
+    if parser.peek() in _BIN_OPS:
+        op = parser.advance()
         return BinOp(op, lhs, _parse_atom(parser))
     return lhs
 
 
 def _parse_atom(parser) -> Atom:
-    tok = parser.peek()
-    if tok.kind == "num":
-        parser.advance()
-        return Num(int(tok.text))
-    if tok.kind == "name":
-        parser.advance()
-        return Var(tok.text)
+    kind = parser.peek()
+    if kind == "num":
+        return Num(_numeral(parser.text, parser.start, parser.advance()))
+    if kind == "name":
+        if parser.value.startswith("fresh_"):
+            _indexed_name(parser, _FRESH, parser.value, parser.start, "a fresh_<n> variable")
+        return Var(parser.advance())
     raise parser.fail("a number or variable")
 
 
 def _parse_guard(parser) -> Guard:
-    tok = parser.expect("name", "a guard relation")
-    if tok.text not in RELATIONS:
-        raise RbrSyntaxError(tok.line, tok.col, "one of " + "/".join(RELATIONS))
+    relation = parser.expect("name", "a guard relation")
+    if relation not in RELATIONS:
+        raise parser.fail("one of " + "/".join(RELATIONS), parser.start)
     parser.expect("(", "'('")
     lhs = _parse_atom(parser)
     parser.expect(",", "','")
     rhs = _parse_atom(parser)
     parser.expect(")", "')'")
-    return Guard(tok.text, lhs, rhs)
+    return Guard(relation, lhs, rhs)
 
 
-def _parse_call(parser, layout) -> Call:
-    tok = parser.expect("name", "'call'")
-    if tok.text != "call":
-        raise RbrSyntaxError(tok.line, tok.col, "'call'")
+def _parse_call(parser) -> Call:
+    if parser.expect("name", "'call'") != "call":
+        raise parser.fail("'call'", parser.start)
     parser.expect("(", "'('")
-    target_tok = parser.expect("name", "a callee name")
-    if not (target_tok.text.startswith("block_") or target_tok.text.startswith("jump_")):
-        raise RbrSyntaxError(target_tok.line, target_tok.col, "a block_/jump_ callee")
-    args = _parse_name_list(parser)
+    target = parser.expect("name", "a callee name")
+    at = parser.start
+    _indexed_name(parser, _RULE_ID, target, at, "a block_/jump_ callee")
+    stack_count, rest = _split_stack_run(parser.name_list())
     parser.expect(")", "')'")
-    stack_count, rest = _split_stack_run(args)
-    if rest != layout.param_names():
-        raise RbrSyntaxError(
-            target_tok.line, target_tok.col, "canonical call arguments"
-        )
-    return Call(target_tok.text, stack_count)
+    if rest != parser.params:
+        raise parser.fail("canonical call arguments", at)
+    return Call(target, stack_count)
