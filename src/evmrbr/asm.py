@@ -65,21 +65,26 @@ def parse_hex(text: str) -> bytes:
     return bytes.fromhex("".join(digits))
 
 
+# The opcode of each byte value, looked up once.
+_OPCODES = [for_byte(b) for b in range(256)]
+
+
 def disassemble(code: bytes) -> list[Instruction]:
     """Decode every byte of ``code`` into an instruction stream."""
     instrs = []
     offset = 0
     n = len(code)
     while offset < n:
-        op = for_byte(code[offset])
+        op = _OPCODES[code[offset]]
+        width = op.immediate_len
         immediate = None
-        if op.immediate_len:
-            end = offset + 1 + op.immediate_len
+        if width:
+            end = offset + 1 + width
             if end > n:
                 raise TruncatedPush(offset)
             immediate = int.from_bytes(code[offset + 1 : end], "big")
         instrs.append(Instruction(offset, op, immediate))
-        offset += 1 + op.immediate_len
+        offset += 1 + width
     return instrs
 
 

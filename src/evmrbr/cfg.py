@@ -97,17 +97,23 @@ def id_sort_key(block_id: str) -> tuple[int, int]:
     return int(pc), int(suffix) if suffix else -1
 
 
-def split_blocks(instrs: list[Instruction]) -> list[Block]:
-    """Split an instruction stream into blocks with unresolved terminators."""
-    if not instrs:
-        return []
-    leaders = {instrs[0].offset}
+def block_leaders(instrs: list[Instruction]) -> set[int]:
+    """Offsets that start a basic block: the first instruction, every
+    JUMPDEST, and every instruction following a terminator."""
+    leaders = {instrs[0].offset} if instrs else set()
     prev_terminates = False
     for ins in instrs:
         if prev_terminates or ins.mnemonic == "JUMPDEST":
             leaders.add(ins.offset)
         prev_terminates = ins.opcode.is_terminator
+    return leaders
 
+
+def split_blocks(instrs: list[Instruction]) -> list[Block]:
+    """Split an instruction stream into blocks with unresolved terminators."""
+    if not instrs:
+        return []
+    leaders = block_leaders(instrs)
     blocks = []
     group: list[Instruction] = []
     for ins in instrs:

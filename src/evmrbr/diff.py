@@ -18,25 +18,19 @@ from .asm import disassemble
 from .cfg import Cfg, FallThrough, Jump, JumpI, id_sort_key, resolve_cfg, split_blocks
 from .errors import EvmRbrError
 from .evm_exec import run_evm
+from .opcodes import BLOCKCHAIN_READS
 from .rbr import Rule, rule_sort_key
-from .rbr_exec import run_rbr
+from .rbr_exec import index_rules, run_rbr
 from .translate import translate_cfg
 
 INPUT_BOUND = 1 << 16
 
-_ENV_NAMES = (
-    "address",
-    "caller",
-    "callvalue",
-    "coinbase",
-    "difficulty",
-    "gas",
-    "gaslimit",
-    "gasprice",
-    "number",
-    "origin",
-    "timestamp",
-)
+# Calldata is built densely up to the highest constant offset the code reads,
+# so offsets are bounded; 2**24 bytes is far past any real contract's input.
+CALLDATA_OFFSET_BOUND = 1 << 24
+
+# Environment quantities drawn per case, in the order they are drawn.
+_ENV_NAMES = tuple(sorted(key for name, key in BLOCKCHAIN_READS.items() if name != "CALLDATASIZE"))
 
 
 @dataclass
@@ -76,7 +70,9 @@ def differential_check(
     """Run ``n_cases`` random vectors through both interpreters.
 
     ``rules`` overrides the translation (used to prove the harness catches
-    corrupted rule sets).  Divergences and rule-interpreter failures are
+    corrupted rule sets).  The rules are indexed once and every case runs
+    on that index; the concrete side runs on ``code`` itself, decoded
+    afresh by each case.  Divergences and rule-interpreter failures are
     report content; concrete-interpreter failures raise, since they mean
     the program is outside the oracle's subset.
     """
@@ -90,6 +86,12 @@ def differential_check(
     layout = rules[0].layout
     entry_rule = f"block_{cfg.entry}"
     pc_edges = _pc_edges(cfg)
+    index = index_rules(rules)
+    block_pcs = {
+        name: rule_sort_key(name)[0] for name in index.groups if name.startswith("block_")
+    }
+    # The cases need no CFG or Rule object: let this call's copies go.
+    del cfg, rules
 
     rng = random.Random(seed)
     report = DiffReport(n_cases=n_cases)
@@ -105,7 +107,7 @@ def differential_check(
         init = _initial_bindings(layout, calldata, env, storage)
         try:
             rbr_state, rule_trace = run_rbr(
-                rules, init, step_limit=step_limit, entry=entry_rule, fresh_seed=fresh_seed
+                index, init, step_limit=step_limit, entry=entry_rule, fresh_seed=fresh_seed
             )
         except EvmRbrError as err:
             report.divergences.append(
@@ -114,15 +116,21 @@ def differential_check(
             continue
 
         report.executed_rules.update(rule_trace)
-        _compare(case, layout, evm_state, evm_trace, rbr_state, rule_trace, pc_edges, report)
+        rule_pcs = [block_pcs[name] for name in rule_trace if name in block_pcs]
+        _compare(case, layout, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report)
     return report
 
 
 def _make_calldata(layout, rng: random.Random) -> bytes:
     if not layout.md_offsets:
         return b""
-    size = max(layout.md_offsets) + 32
-    data = bytearray(size)
+    highest = max(layout.md_offsets)
+    if highest >= CALLDATA_OFFSET_BOUND:
+        raise EvmRbrError(
+            f"cannot check code reading calldata at offset {highest} "
+            f"(offsets must be below {CALLDATA_OFFSET_BOUND})"
+        )
+    data = bytearray(highest + 32)
     for offset in layout.md_offsets:
         data[offset : offset + 32] = rng.randrange(INPUT_BOUND).to_bytes(32, "big")
     return bytes(data)
@@ -157,7 +165,7 @@ def _pc_edges(cfg: Cfg) -> set[tuple[int, int]]:
     return edges
 
 
-def _compare(case, layout, evm_state, evm_trace, rbr_state, rule_trace, pc_edges, report):
+def _compare(case, layout, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report):
     for i in range(layout.k + 1):
         expected = evm_state.storage.get(i, 0)
         got = rbr_state.bindings.get(f"g{i}")
@@ -169,9 +177,6 @@ def _compare(case, layout, evm_state, evm_trace, rbr_state, rule_trace, pc_edges
         if got != expected:
             report.divergences.append(Divergence(case, f"l{idx}", str(expected), str(got)))
 
-    rule_pcs = [
-        rule_sort_key(name)[0] for name in rule_trace if name.startswith("block_")
-    ]
     if rule_pcs != evm_trace:
         report.divergences.append(
             Divergence(case, "trace", str(evm_trace), str(rule_pcs))

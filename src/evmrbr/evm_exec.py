@@ -11,24 +11,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .asm import disassemble
+from .asm import Instruction, disassemble
+from .cfg import block_leaders
 from .errors import EvmFault, StepLimitExceeded, UnsupportedOpcode
+from .opcodes import BLOCKCHAIN_READS, Opcode, for_byte
 
 _MASK = (1 << 256) - 1
 
 # Opcodes pushing one environment quantity, and the key it is read from.
-_ENV_READS = {
-    "ADDRESS": "address",
-    "ORIGIN": "origin",
-    "CALLER": "caller",
-    "CALLVALUE": "callvalue",
-    "GASPRICE": "gasprice",
-    "COINBASE": "coinbase",
-    "TIMESTAMP": "timestamp",
-    "NUMBER": "number",
-    "DIFFICULTY": "difficulty",
-    "GASLIMIT": "gaslimit",
-    "GAS": "gas",
+_ENV_READS = {name: key for name, key in BLOCKCHAIN_READS.items() if name != "CALLDATASIZE"}
+
+# Mnemonic -> kind of table entry, for opcodes whose entry needs no argument.
+_KINDS = {
+    "POP": "pop",
+    "JUMPDEST": "nop",
+    "JUMP": "jump",
+    "JUMPI": "jumpi",
+    "STOP": "stop",
+    "RETURN": "return",
+    "REVERT": "return",
+    "CALLDATASIZE": "calldatasize",
+    "CALLDATALOAD": "calldataload",
+    "MLOAD": "mload",
+    "MSTORE": "mstore",
+    "SLOAD": "sload",
+    "SSTORE": "sstore",
 }
 
 
@@ -44,16 +51,6 @@ class MachineState:
     halted: bool = False
     pc: int = 0
 
-    def push(self, value: int) -> None:
-        if len(self.stack) >= 1024:
-            raise EvmFault("stack overflow")
-        self.stack.append(value & _MASK)
-
-    def pop(self) -> int:
-        if not self.stack:
-            raise EvmFault("stack underflow")
-        return self.stack.pop()
-
 
 def _signed(x: int) -> int:
     return x - (1 << 256) if x >= (1 << 255) else x
@@ -61,6 +58,30 @@ def _signed(x: int) -> int:
 
 def _unsigned(x: int) -> int:
     return x & _MASK
+
+
+def _decode(instrs: list[Instruction]) -> tuple[list[tuple | None], frozenset[int]]:
+    """Per-PC table and jumpdest set of ``instrs``, a whole disassembled program.
+
+    ``table[pc]`` is ``(kind, arg, next_pc, leader)`` at each instruction
+    start and None inside immediates; ``leader`` is set where a basic block
+    starts.  Its length is the code size.
+    """
+    leaders = block_leaders(instrs)
+    size = instrs[-1].offset + instrs[-1].size if instrs else 0
+    table: list[tuple | None] = [None] * size
+    jumpdests = []
+    for ins in instrs:
+        offset = ins.offset
+        kind, arg, width = _ENTRIES[ins.opcode.code]
+        if kind == "push":
+            arg = ins.immediate
+        elif kind == "pc":
+            kind, arg = "push", offset
+        elif kind == "nop":
+            jumpdests.append(offset)
+        table[offset] = (kind, arg, offset + width, offset in leaders)
+    return table, frozenset(jumpdests)
 
 
 def run_evm(
@@ -72,118 +93,90 @@ def run_evm(
 ) -> tuple[MachineState, list[int]]:
     """Execute ``code``; returns the final state and the block-entry trace.
 
+    ``code`` is decoded once into a per-PC table that the loop runs on.
     Halts on STOP/RETURN/REVERT/INVALID or when execution runs off the end
     of the code (implicit STOP).  Raises StepLimitExceeded after
     ``step_limit`` instructions, UnsupportedOpcode outside the subset, and
     EvmFault on stack violations or invalid jumps.
     """
-    instrs = disassemble(code)
-    by_offset = {i.offset: i for i in instrs}
-    leaders = _block_leaders(instrs)
-    jumpdests = {i.offset for i in instrs if i.mnemonic == "JUMPDEST"}
-
-    s = MachineState(calldata=calldata, env=dict(env or {}), storage=dict(storage or {}))
+    table, jumpdests = _decode(disassemble(code))
+    size = len(table)
+    env = dict(env or {})
+    storage = dict(storage or {})
+    memory: dict[int, int] = {}
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
     trace: list[int] = []
     steps = 0
     pc = 0
-    while True:
-        if pc >= len(code):
-            s.halted = True  # implicit STOP
-            s.pc = pc
-            break
-        if pc in leaders:
-            trace.append(pc)
-        ins = by_offset[pc]
-        steps += 1
-        if steps > step_limit:
-            s.pc = pc
-            raise StepLimitExceeded(f"no halt within {step_limit} steps")
-        next_pc = pc + ins.size
-        name = ins.mnemonic
-        op = ins.opcode
-
-        if op.is_push:
-            s.push(ins.immediate)
-        elif op.is_dup:
-            n = op.pair_index
-            if len(s.stack) < n:
-                raise EvmFault("stack underflow")
-            s.push(s.stack[-n])
-        elif op.is_swap:
-            n = op.pair_index
-            if len(s.stack) < n + 1:
-                raise EvmFault("stack underflow")
-            s.stack[-1], s.stack[-1 - n] = s.stack[-1 - n], s.stack[-1]
-        elif name == "POP":
-            s.pop()
-        elif name == "JUMPDEST":
-            pass
-        elif name == "JUMP":
-            dest = s.pop()
-            if dest not in jumpdests:
-                raise EvmFault(f"invalid jump target {dest}")
-            next_pc = dest
-        elif name == "JUMPI":
-            dest, cond = s.pop(), s.pop()
-            if cond != 0:
-                if dest not in jumpdests:
-                    raise EvmFault(f"invalid jump target {dest}")
-                next_pc = dest
-        elif name == "PC":
-            s.push(pc)
-        elif name in ("STOP", "INVALID") or op.is_invalid_class:
-            s.halted = True
-            s.pc = pc
-            break
-        elif name in ("RETURN", "REVERT"):
-            s.pop(), s.pop()
-            s.halted = True
-            s.pc = pc
-            break
-        elif name in _ENV_READS:
-            s.push(s.env.get(_ENV_READS[name], 0))
-        elif name == "CALLDATASIZE":
-            s.push(len(s.calldata))
-        elif name == "CALLDATALOAD":
-            offset = s.pop()
-            word = bytes(
-                s.calldata[offset + i] if offset + i < len(s.calldata) else 0
-                for i in range(32)
-            )
-            s.push(int.from_bytes(word, "big"))
-        elif name == "MLOAD":
-            s.push(s.memory.get(s.pop(), 0))
-        elif name == "MSTORE":
-            addr, value = s.pop(), s.pop()
-            s.memory[addr] = value
-        elif name == "SLOAD":
-            s.push(s.storage.get(s.pop(), 0))
-        elif name == "SSTORE":
-            key, value = s.pop(), s.pop()
-            s.storage[key] = value
-        elif name in _ALU:
-            fn, arity = _ALU[name]
-            if len(s.stack) < arity:
-                raise EvmFault("stack underflow")
-            args = [s.pop() for _ in range(arity)]
-            s.push(fn(*args))
-        else:
-            s.pc = pc
-            raise UnsupportedOpcode(name)
-        pc = next_pc
-    return s, trace
-
-
-def _block_leaders(instrs) -> set[int]:
-    if not instrs:
-        return set()
-    leaders = {instrs[0].offset}
-    prev_terminates = False
-    for ins in instrs:
-        if prev_terminates or ins.mnemonic == "JUMPDEST":
-            leaders.add(ins.offset)
-        prev_terminates = ins.opcode.is_terminator
-    return leaders
+    try:
+        while pc < size:
+            kind, arg, next_pc, leader = table[pc]
+            if leader:
+                trace.append(pc)
+            steps += 1
+            if steps > step_limit:
+                raise StepLimitExceeded(f"no halt within {step_limit} steps")
+            if kind == "push":
+                push(arg)
+            elif kind == "dup":
+                push(stack[-arg])
+            elif kind == "swap":
+                stack[-1], stack[-1 - arg] = stack[-1 - arg], stack[-1]
+            elif kind == "op2":
+                push(arg(pop(), pop()) & _MASK)
+            elif kind == "nop":
+                pass
+            elif kind == "jump":
+                next_pc = pop()
+                if next_pc not in jumpdests:
+                    raise EvmFault(f"invalid jump target {next_pc}")
+            elif kind == "jumpi":
+                dest, cond = pop(), pop()
+                if cond != 0:
+                    if dest not in jumpdests:
+                        raise EvmFault(f"invalid jump target {dest}")
+                    next_pc = dest
+            elif kind == "pop":
+                pop()
+            elif kind == "mload":
+                push(memory.get(pop(), 0))
+            elif kind == "mstore":
+                addr = pop()
+                memory[addr] = pop()
+            elif kind == "sload":
+                push(storage.get(pop(), 0) & _MASK)
+            elif kind == "sstore":
+                key = pop()
+                storage[key] = pop()
+            elif kind == "op1":
+                push(arg(pop()) & _MASK)
+            elif kind == "op3":
+                push(arg(pop(), pop(), pop()) & _MASK)
+            elif kind == "calldataload":
+                offset = pop()
+                word = calldata[offset : offset + 32] if offset < len(calldata) else b""
+                push(int.from_bytes(word.ljust(32, b"\0"), "big"))
+            elif kind == "env":
+                push(env.get(arg, 0) & _MASK)
+            elif kind == "calldatasize":
+                push(len(calldata))
+            elif kind == "stop":
+                break
+            elif kind == "return":
+                pop(), pop()
+                break
+            else:
+                raise UnsupportedOpcode(arg)
+            if len(stack) > 1024:
+                raise EvmFault("stack overflow")
+            pc = next_pc
+    except IndexError:
+        # Every IndexError in the loop comes from the stack: a pop, DUP or
+        # SWAP below its bottom.
+        raise EvmFault("stack underflow") from None
+    state = MachineState(stack, memory, storage, calldata, env, halted=True, pc=pc)
+    return state, trace
 
 
 def _div(a: int, b: int) -> int:
@@ -250,3 +243,35 @@ _ALU = {
     "SHR": (lambda a, b: b >> a if a < 256 else 0, 2),
     "SAR": (lambda a, b: _unsigned(_signed(b) >> min(a, 255)), 2),
 }
+
+
+def _entry(op: Opcode) -> tuple[str, object, int]:
+    """Table kind, argument and byte width of ``op``.  PUSH takes its
+    argument from the immediate and PC ("pc") from the offset, per
+    instruction."""
+    name = op.mnemonic
+    arg = None
+    if op.is_push:
+        kind = "push"
+    elif name == "PC":
+        kind = "pc"
+    elif op.is_dup:
+        kind, arg = "dup", op.pair_index
+    elif op.is_swap:
+        kind, arg = "swap", op.pair_index
+    elif name in _ALU:
+        arg, arity = _ALU[name]
+        kind = ("op1", "op2", "op3")[arity - 1]
+    elif name in _ENV_READS:
+        kind, arg = "env", _ENV_READS[name]
+    elif op.is_invalid_class:
+        kind = "stop"
+    else:
+        kind = _KINDS.get(name)
+        if kind is None:
+            kind, arg = "unsupported", name
+    return kind, arg, 1 + op.immediate_len
+
+
+# Opcode byte -> table entry, built once so decoding reads no Opcode property.
+_ENTRIES = {b: _entry(for_byte(b)) for b in range(256)}

@@ -9,6 +9,7 @@ that are not code).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,15 @@ class Opcode:
             return self.code - 0xA0
         raise ValueError(f"{self.mnemonic} has no numeric suffix")
 
-    @property
+    @cached_property
     def is_invalid_class(self) -> bool:
         return self.mnemonic == "INVALID" or self.mnemonic.startswith("INVALID_")
 
-    @property
+    @cached_property
     def halts(self) -> bool:
         return self.mnemonic in _HALTING or self.is_invalid_class
 
-    @property
+    @cached_property
     def is_terminator(self) -> bool:
         """True when the opcode ends a basic block."""
         return self.mnemonic in ("JUMP", "JUMPI") or self.halts

@@ -14,6 +14,7 @@ concession the bit operations need.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -44,68 +45,97 @@ def _trunc_mod(a: int, b: int) -> int:
     return a - b * _trunc_div(a, b)
 
 
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+def _pow(a: int, b: int) -> int:
+    if b < 0:
+        raise EvmRbrError("negative exponent")
+    return a**b
+
+
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": _trunc_div,
     "%": _trunc_mod,
-    "^": lambda a, b: a**b,
-}
-
-_BITS = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
+    "^": _pow,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
 }
 
 _RELATION_TESTS = {
-    "eq": lambda a, b: a == b,
-    "neq": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "leq": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "geq": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "neq": operator.ne,
+    "lt": operator.lt,
+    "leq": operator.le,
+    "gt": operator.gt,
+    "geq": operator.ge,
 }
 
 
-class _Frame:
-    def __init__(self, bindings: dict[str, int], rule: str, fresh: random.Random):
-        self.bindings = bindings
-        self.rule = rule
-        self.fresh = fresh
+@dataclass(frozen=True)
+class RuleIndex:
+    """Rules prepared once for any number of runs.
 
-    def value(self, name: str) -> int:
-        if name in self.bindings:
-            return self.bindings[name]
-        if name.startswith("fresh_"):
-            drawn = self.fresh.randrange(1 << 64)
-            self.bindings[name] = drawn
-            return drawn
-        raise UnboundVariable(name, self.rule)
+    ``groups`` maps each rule name to its rules, in program order, each as
+    ``(guard, body, callee, args)``.  A guard is ``(test, lhs, rhs)`` and an
+    assignment ``(target, op, lhs, rhs)``, where an atom is an ``int``
+    literal or a ``str`` variable name and ``op`` is None for a plain copy
+    of ``lhs``.  ``args`` is the callee's argument names, one tuple shared
+    by all calls passing the same number of stack slots.
+    """
 
-    def eval(self, expr) -> int:
-        if isinstance(expr, Num):
-            return expr.value
-        if isinstance(expr, Var):
-            return self.value(expr.name)
-        if isinstance(expr, BinOp):
-            lhs, rhs = self.eval(expr.lhs), self.eval(expr.rhs)
-            if expr.op == "^" and rhs < 0:
-                raise EvmRbrError("negative exponent")
-            return _ARITH[expr.op](lhs, rhs)
-        if isinstance(expr, BitOp):
-            return _BITS[expr.op](self.eval(expr.lhs), self.eval(expr.rhs))
-        if isinstance(expr, Not):
-            return self.eval(expr.operand) ^ _MASK
-        raise TypeError(f"not an expression: {expr!r}")
+    groups: dict[str, list[tuple]]
 
-    def holds(self, guard: Guard) -> bool:
-        return _RELATION_TESTS[guard.relation](self.eval(guard.lhs), self.eval(guard.rhs))
+
+def _atom(atom) -> int | str:
+    return atom.value if isinstance(atom, Num) else atom.name
+
+
+def _assignment(stmt: Assign) -> tuple:
+    expr = stmt.value
+    if isinstance(expr, (Num, Var)):
+        return stmt.target, None, _atom(expr), None
+    if isinstance(expr, (BinOp, BitOp)):
+        return stmt.target, _OPS[expr.op], _atom(expr.lhs), _atom(expr.rhs)
+    if isinstance(expr, Not):
+        return stmt.target, operator.xor, _atom(expr.operand), _MASK
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def _guard(guard: Guard | None) -> tuple | None:
+    if guard is None:
+        return None
+    return _RELATION_TESTS[guard.relation], _atom(guard.lhs), _atom(guard.rhs)
+
+
+def index_rules(rules: list[Rule]) -> RuleIndex:
+    """Index ``rules`` by name, with guards and bodies as flat tuples."""
+    shared_args: dict[tuple[int, int], tuple[str, ...]] = {}
+    groups: dict[str, list[tuple]] = {}
+    for rule in rules:
+        call = rule.continuation
+        callee, args = None, ()
+        if call is not None:
+            callee = call.target
+            key = (call.stack_count, id(rule.layout))
+            if key not in shared_args:
+                shared_args[key] = tuple(rule.call_args(call))
+            args = shared_args[key]
+        body = tuple(_assignment(stmt) for stmt in rule.body if isinstance(stmt, Assign))
+        groups.setdefault(rule.name, []).append((_guard(rule.guard), body, callee, args))
+    return RuleIndex(groups)
+
+
+def _read_unbound(name: str, rule: str, bindings: dict[str, int], fresh: random.Random) -> int:
+    if name.startswith("fresh_"):
+        drawn = bindings[name] = fresh.randrange(1 << 64)
+        return drawn
+    raise UnboundVariable(name, rule)
 
 
 def run_rbr(
-    rules: list[Rule],
+    rules: list[Rule] | RuleIndex,
     init: dict[str, int] | RbrState,
     step_limit: int = 10**6,
     entry: str = "block_0",
@@ -114,13 +144,13 @@ def run_rbr(
     """Run from ``entry`` until a rule without continuation; returns the
     final state and the sequence of rule names applied.
 
-    ``init`` must bind every field/local/blockchain parameter of the entry
-    rule (the entry takes no stack parameters).
+    ``rules`` is a rule list or its :func:`index_rules` index, which a
+    caller running many inputs builds once.  ``init`` must bind every
+    field/local/blockchain parameter of the entry rule (the entry takes no
+    stack parameters).
     """
-    by_name: dict[str, list[Rule]] = {}
-    for rule in rules:
-        by_name.setdefault(rule.name, []).append(rule)
-    if entry not in by_name:
+    groups = (rules if isinstance(rules, RuleIndex) else index_rules(rules)).groups
+    if entry not in groups:
         raise EvmRbrError(f"no rule named {entry}")
 
     bindings = dict(init.bindings if isinstance(init, RbrState) else init)
@@ -133,25 +163,41 @@ def run_rbr(
         if steps > step_limit:
             raise StepLimitExceeded(f"no halt within {step_limit} rule applications")
         trace.append(name)
-        frame = _Frame(bindings, name, fresh)
-        group = by_name.get(name)
+        group = groups.get(name)
         if group is None:
             raise EvmRbrError(f"call to undefined rule {name}")
-        if len(group) == 1 and group[0].guard is None:
+        if len(group) == 1 and group[0][0] is None:
             rule = group[0]
         else:
-            applicable = [r for r in group if r.guard is not None and frame.holds(r.guard)]
+            applicable = []
+            for candidate in group:
+                if candidate[0] is None:
+                    continue
+                test, a, b = candidate[0]
+                if a.__class__ is str:
+                    a = bindings[a] if a in bindings else _read_unbound(a, name, bindings, fresh)
+                if b.__class__ is str:
+                    b = bindings[b] if b in bindings else _read_unbound(b, name, bindings, fresh)
+                if test(a, b):
+                    applicable.append(candidate)
             if len(applicable) != 1:
                 raise NoApplicableRule(name, len(applicable))
             rule = applicable[0]
 
-        for stmt in rule.body:
-            if isinstance(stmt, Assign):
-                bindings[stmt.target] = frame.eval(stmt.value)
+        _, body, callee, args = rule
+        for target, op, a, b in body:
+            if a.__class__ is str:
+                a = bindings[a] if a in bindings else _read_unbound(a, name, bindings, fresh)
+            if op is not None:
+                if b.__class__ is str:
+                    b = bindings[b] if b in bindings else _read_unbound(b, name, bindings, fresh)
+                a = op(a, b)
+            bindings[target] = a
 
-        if rule.continuation is None:
+        if callee is None:
             return RbrState(bindings=bindings, rule=name), trace
-        call = rule.continuation
-        args = rule.call_args(call)
-        bindings = {arg: frame.value(arg) for arg in args}
-        name = call.target
+        try:
+            bindings = {arg: bindings[arg] for arg in args}
+        except KeyError as err:
+            raise UnboundVariable(err.args[0], name) from None
+        name = callee

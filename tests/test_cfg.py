@@ -11,6 +11,7 @@ from evmrbr.cfg import (
     Halt,
     Jump,
     JumpI,
+    block_leaders,
     emit_dot,
     id_sort_key,
     resolve_cfg,
@@ -25,6 +26,15 @@ def blocks_of(hexstr: str):
 
 def cfg_of(code: bytes, clone_cap: int = 32):
     return resolve_cfg(split_blocks(disassemble(code)), clone_cap)
+
+
+def test_block_leaders_start_the_split_blocks():
+    assert block_leaders([]) == set()
+    # PUSH1 3, JUMP | JUMPDEST, STOP | PUSH1 0
+    assert block_leaders(disassemble(bytes.fromhex("6003565b006000"))) == {0, 3, 5}
+    for code in CORPUS.values():
+        instrs = disassemble(code)
+        assert block_leaders(instrs) == {b.start_pc for b in split_blocks(instrs)}
 
 
 def test_split_jump_program():

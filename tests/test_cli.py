@@ -8,6 +8,9 @@ import pytest
 
 from corpus import ADD_STORE, CORPUS
 
+import evmrbr.cli
+import evmrbr.diff
+import evmrbr.evm_exec
 from evmrbr.cli import main
 from evmrbr.parse import parse_rbr
 
@@ -132,6 +135,49 @@ def test_check_unresolved_is_pipeline_error(run):
     code, out, err = run("check", "-", stdin="60003556")
     assert code == 2
     assert "unresolved" in err
+
+
+@pytest.mark.parametrize(
+    "hexstr, offset",
+    [
+        ("7f" + (1 << 190).to_bytes(32, "big").hex() + "3560005500", 1 << 190),
+        ("63ffffffff3560005500", 0xFFFFFFFF),
+    ],
+)
+def test_check_huge_calldata_offset_is_pipeline_error(run, hexstr, offset):
+    code, out, err = run("check", "-", "--runs", "2", stdin=hexstr)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: cannot check code reading calldata at offset {offset} "
+        "(offsets must be below 16777216)\n"
+    )
+
+
+def test_check_calldata_offset_below_the_bound(run):
+    code, out, _ = run("check", "-", "--runs", "2", stdin="62ffffff3560005500")
+    assert code == 0
+    assert out == "divergences: 0/2\n"
+
+
+def test_check_call_counts(run, monkeypatch):
+    calls = {"disassemble": 0, "resolve_cfg": 0}
+    for module in (evmrbr.cli, evmrbr.diff, evmrbr.evm_exec):
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    code, out, _ = run("check", "-", "--runs", "4", stdin=CORPUS["counter_loop"].hex())
+    assert (code, out) == (0, "divergences: 0/4\n")
+    # The CLI resolves for its warnings and differential_check for its rules;
+    # the concrete side decodes the raw code once per case.
+    assert calls == {"disassemble": 2 + 4, "resolve_cfg": 2}
 
 
 def test_rbr_warns_about_unresolved_jumps(run):

@@ -1,6 +1,7 @@
 """Differential harness behaviour, including its ability to catch bugs."""
 
 import copy
+import hashlib
 import random
 
 import pytest
@@ -10,9 +11,9 @@ from progen import gen_program
 
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
-from evmrbr.diff import differential_check
+from evmrbr.diff import _ENV_NAMES, differential_check
 from evmrbr.errors import EvmRbrError
-from evmrbr.rbr import COMPLEMENT, Guard
+from evmrbr.rbr import COMPLEMENT, Call, Guard
 from evmrbr.translate import translate_cfg
 
 
@@ -89,3 +90,81 @@ def test_deterministic_given_seed():
     first = differential_check(CORPUS["dispatcher"], n_cases=10, seed=9)
     second = differential_check(CORPUS["dispatcher"], n_cases=10, seed=9)
     assert first.text() == second.text()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _swap_first_executed_branch(code: bytes) -> list:
+    rules = translate_cfg(resolve_cfg(split_blocks(disassemble(code))))
+    executed = differential_check(code, n_cases=4, seed=1).executed_rules
+    target = next(r.name for r in rules if r.is_jump and r.name in executed)
+    for rule in rules:
+        if rule.name == target:
+            rule.guard = rule.guard.negated()
+    return rules
+
+
+def _call_undefined_rule(code: bytes) -> list:
+    rules = translate_cfg(resolve_cfg(split_blocks(disassemble(code))))
+    rules[0].continuation = Call("block_99", rules[0].continuation.stack_count)
+    return rules
+
+
+# Reports recorded before the checker prepared the bytecode and the rules
+# once per check: (code, rule mutation, cases, seed, digest of text(),
+# last line of text(), digest of the sorted executed rule names).
+_PINNED = {
+    "progen-5": (gen_program(random.Random(5), 30), None, 6, 5,
+                 "70ef3b7e3105c674", "divergences: 0/6", "bfe4776110fba21b"),
+    "progen-23": (gen_program(random.Random(23), 30), None, 6, 23,
+                  "70ef3b7e3105c674", "divergences: 0/6", "dadaeb790ece84eb"),
+    "progen-71": (gen_program(random.Random(71)), None, 4, 71,
+                  "c2805872da5ed196", "divergences: 0/4", "872cc5187d0836d5"),
+    # the SLOAD at a calldata key is fresh in the rules
+    "sload-dynamic-key": (bytes.fromhex("6000355460005500"), None, 4, 12,
+                          "c20f1b12a395f837", "divergences: 4/4", "b9a07089b65517ad"),
+    "swapped-branch": (gen_program(random.Random(5), 30), _swap_first_executed_branch, 5, 3,
+                       "d99414f1cb0b7019", "divergences: 5/5", "1f5e4157c85ca25e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_report_is_pinned(name):
+    code, mutate, n_cases, seed, text_digest, last_line, rules_digest = _PINNED[name]
+    rules = mutate(code) if mutate else None
+    report = differential_check(code, n_cases=n_cases, seed=seed, rules=rules)
+    text = report.text()
+    assert text.splitlines()[-1] == last_line
+    assert _digest(text) == text_digest, text
+    assert _digest("\n".join(sorted(report.executed_rules))) == rules_digest
+
+
+def test_fresh_draws_are_pinned():
+    # an ISZERO used as a value is fresh in the rules
+    report = differential_check(bytes.fromhex("60a41560005200"), n_cases=4, seed=11)
+    assert report.text() == (
+        "case 0: l0 evm=0 rbr=13125863805681346846\n"
+        "case 1: l0 evm=0 rbr=4092205224234136051\n"
+        "case 2: l0 evm=0 rbr=15481991582512269596\n"
+        "case 3: l0 evm=0 rbr=7149979697188862515\n"
+        "divergences: 4/4\n"
+    )
+
+
+def test_undefined_rule_call_line_is_pinned():
+    code = bytes.fromhex("6003565b00")
+    report = differential_check(code, n_cases=2, seed=0, rules=_call_undefined_rule(code))
+    assert report.text() == (
+        "case 0: rule-run evm=halt rbr=EvmRbrError: call to undefined rule block_99\n"
+        "case 1: rule-run evm=halt rbr=EvmRbrError: call to undefined rule block_99\n"
+        "divergences: 2/2\n"
+    )
+
+
+def test_environment_names_keep_their_draw_order():
+    assert _ENV_NAMES == (
+        "address", "caller", "callvalue", "coinbase", "difficulty", "gas",
+        "gaslimit", "gasprice", "number", "origin", "timestamp",
+    )

@@ -4,8 +4,9 @@ import pytest
 
 from corpus import ADD_STORE, COUNTER_LOOP, TWO_CALLER_CLONE
 
+from evmrbr.asm import disassemble
 from evmrbr.errors import EvmFault, StepLimitExceeded, UnsupportedOpcode
-from evmrbr.evm_exec import run_evm
+from evmrbr.evm_exec import _decode, run_evm
 
 
 def test_add_store_program():
@@ -124,3 +125,49 @@ def test_signed_comparison():
     code = bytes.fromhex("6001600019" + "12" + "60005500")
     state, _ = run_evm(code)
     assert state.storage[0] == 1
+
+
+def test_jumpi_to_non_jumpdest_faults_only_when_taken():
+    # PUSH1 1, PUSH1 6, JUMPI, STOP, STOP, PUSH1 0: pc 6 is not a JUMPDEST
+    with pytest.raises(EvmFault, match="invalid jump target 6"):
+        run_evm(bytes.fromhex("600160065700006000"))
+    state, trace = run_evm(bytes.fromhex("600060065700006000"))
+    assert (state.pc, trace) == (5, [0, 5])
+
+
+@pytest.mark.parametrize("hexstr", ["80", "600181", "90", "600190", "6001600291"])
+def test_dup_and_swap_underflow_faults(hexstr):
+    with pytest.raises(EvmFault, match="stack underflow"):
+        run_evm(bytes.fromhex(hexstr))
+
+
+def test_running_off_the_end_after_a_branch():
+    # PUSH1 0, PUSH1 0, JUMPI: not taken, and no instruction follows
+    state, trace = run_evm(bytes.fromhex("6000600057"))
+    assert (state.halted, state.pc, state.stack, trace) == (True, 5, [], [0])
+
+
+def test_step_limit_counts_every_instruction():
+    code = bytes.fromhex("600160020100")  # PUSH1, PUSH1, ADD, STOP
+    state, _ = run_evm(code, step_limit=4)
+    assert state.stack == [3]
+    with pytest.raises(StepLimitExceeded, match="no halt within 3 steps"):
+        run_evm(code, step_limit=3)
+    # the implicit STOP past the last instruction is not a step
+    state, _ = run_evm(code[:-1], step_limit=3)
+    assert (state.pc, state.stack) == (5, [3])
+
+
+def test_decoded_table_has_one_entry_per_instruction():
+    table, jumpdests = _decode(disassemble(bytes.fromhex("6003565b00")))
+    assert table == [("push", 3, 2, True), None, ("jump", None, 3, False),
+                     ("nop", None, 4, True), ("stop", None, 5, False)]
+    assert jumpdests == {3}
+
+
+def test_three_operand_arithmetic():
+    # ADDMOD (9 + 4) % 5 into slot 0, MULMOD (9 * 4) % 5 into slot 1
+    state, _ = run_evm(bytes.fromhex("600560046009086000556005600460090960015500"))
+    assert state.storage == {0: 3, 1: 1}
+    with pytest.raises(EvmFault, match="stack underflow"):
+        run_evm(bytes.fromhex("6001600208"))

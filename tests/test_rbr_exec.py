@@ -15,7 +15,7 @@ from evmrbr.errors import (
     UnboundVariable,
 )
 from evmrbr.parse import parse_rbr
-from evmrbr.rbr_exec import RbrState, run_rbr
+from evmrbr.rbr_exec import RbrState, index_rules, run_rbr
 from evmrbr.translate import translate_cfg
 
 
@@ -75,6 +75,7 @@ def test_no_applicable_rule_on_overlapping_guards():
     with pytest.raises(NoApplicableRule) as err:
         run_rbr(rules, {"s0": 5}, entry="block_0")
     assert err.value.applicable == 2
+    assert str(err.value) == "2 guards of jump_1 applicable, expected exactly 1"
 
 
 def test_unbound_variable():
@@ -130,3 +131,65 @@ def test_missing_entry_rule():
 def test_accepts_rbr_state_init():
     state, _ = run_rbr(rules_of(ADD_STORE), RbrState(bindings={"g0": 3}))
     assert state.bindings["g0"] == 9
+
+
+def test_no_applicable_rule_names_the_rule():
+    text = (
+        "block_0(s0) =>\n  call(jump_1(s0))\n\n"
+        "jump_1(s0) =>\n  lt(s0, 3) | call(block_2(s0))\n\n"
+        "jump_1(s0) =>\n  gt(s0, 3) | call(block_2(s0))\n\n"
+        "block_2(s0) =>"
+    )
+    with pytest.raises(NoApplicableRule) as err:
+        run_rbr(parse_rbr(text), {"s0": 3})
+    assert (err.value.name, err.value.applicable) == ("jump_1", 0)
+
+
+@pytest.mark.parametrize(
+    "text, name, rule",
+    [
+        # read in a body, after a call
+        ("block_0() =>\n  call(block_1())\n\nblock_1() =>\n  s0 = s1", "s1", "block_1"),
+        # the second operand of an operation
+        ("block_0() =>\n  s0 = 1,\n  s1 = s0 + s2", "s2", "block_0"),
+        # passed to a call without being bound
+        ("block_0() =>\n  call(block_1(s0))\n\nblock_1(s0) =>\n  s1 = s0", "s0", "block_0"),
+        # bound in the caller but not passed
+        ("block_0() =>\n  s0 = 1,\n  call(block_1())\n\nblock_1() =>\n  s1 = s0", "s0", "block_1"),
+        # read by a guard
+        ("block_0() =>\n  call(jump_1())\n\njump_1() =>\n  eq(s0, 0) | call(block_2())\n\n"
+         "jump_1() =>\n  neq(s0, 0) | call(block_2())\n\nblock_2() =>", "s0", "jump_1"),
+    ],
+)
+def test_unbound_variable_names_the_rule(text, name, rule):
+    with pytest.raises(UnboundVariable) as err:
+        run_rbr(parse_rbr(text), {})
+    assert (err.value.name, err.value.rule) == (name, rule)
+    assert str(err.value) == f"variable {name} read before assignment in {rule}"
+
+
+def test_undefined_callee_is_reported_when_called():
+    with pytest.raises(EvmRbrError, match="call to undefined rule block_5"):
+        run_rbr(parse_rbr("block_0() =>\n  call(block_5())"), {})
+
+
+def test_negative_exponent_is_an_error():
+    with pytest.raises(EvmRbrError, match="negative exponent"):
+        run_rbr(parse_rbr("block_0() =>\n  s0 = 0 - 1,\n  s1 = 2 ^ s0"), {})
+
+
+def test_index_runs_like_the_rule_list():
+    rules = rules_of(COUNTER_LOOP)
+    index = index_rules(rules)
+    for g0 in (0, 7):
+        assert run_rbr(index, {"g0": g0}) == run_rbr(rules, {"g0": g0})
+
+
+def test_index_shares_argument_tuples_by_stack_count():
+    rules = rules_of(COUNTER_LOOP)
+    args_of = {}
+    for group in index_rules(rules).groups.values():
+        for _, _, callee, args in group:
+            if callee is not None:
+                assert args_of.setdefault(len(args), args) is args
+    assert len(args_of) > 1
