@@ -7,14 +7,13 @@ whose immediate bytes run past the end of the code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistentOffsets, NonHexCharacter, OddDigitCount, TruncatedPush
 from .opcodes import Opcode, for_byte
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One decoded instruction at a fixed byte offset.
 
     ``immediate`` is the unsigned big-endian value of the inline bytes and
@@ -65,26 +64,28 @@ def parse_hex(text: str) -> bytes:
     return bytes.fromhex("".join(digits))
 
 
-# The opcode of each byte value, looked up once.
-_OPCODES = [for_byte(b) for b in range(256)]
+# (opcode, immediate width) of each byte value, looked up once.
+_DECODE = [(op, op.immediate_len) for op in map(for_byte, range(256))]
 
 
 def disassemble(code: bytes) -> list[Instruction]:
     """Decode every byte of ``code`` into an instruction stream."""
-    instrs = []
+    instrs: list[Instruction] = []
+    append = instrs.append
+    new = tuple.__new__  # skips the keyword-handling constructor
     offset = 0
     n = len(code)
     while offset < n:
-        op = _OPCODES[code[offset]]
-        width = op.immediate_len
-        immediate = None
+        op, width = _DECODE[code[offset]]
         if width:
             end = offset + 1 + width
             if end > n:
                 raise TruncatedPush(offset)
-            immediate = int.from_bytes(code[offset + 1 : end], "big")
-        instrs.append(Instruction(offset, op, immediate))
-        offset += 1 + width
+            append(new(Instruction, (offset, op, int.from_bytes(code[offset + 1 : end], "big"))))
+            offset = end
+        else:
+            append(new(Instruction, (offset, op, None)))
+            offset += 1
     return instrs
 
 

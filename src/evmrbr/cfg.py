@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .asm import Instruction
+from .opcodes import BY_NAME, WORD_OPS, Opcode, for_byte
 
 # Abstract value: a known 256-bit constant, or None for "anything".
 AbstractValue = Optional[int]
 
 UNRESOLVED = "?"
 
-_WORD = (1 << 256) - 1
+_JUMPDEST = BY_NAME["JUMPDEST"].code
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,14 @@ class Block:
     const_operands: list[tuple[AbstractValue, ...]] | None = None
 
     @property
+    def end_pc(self) -> int:
+        """Offset just past the last instruction."""
+        offset, op, _ = self.instrs[-1]
+        return offset + 1 + op.immediate_len
+
+    @property
     def byte_size(self) -> int:
-        return sum(i.size for i in self.instrs)
+        return self.end_pc - self.start_pc
 
 
 @dataclass
@@ -101,11 +108,13 @@ def block_leaders(instrs: list[Instruction]) -> set[int]:
     """Offsets that start a basic block: the first instruction, every
     JUMPDEST, and every instruction following a terminator."""
     leaders = {instrs[0].offset} if instrs else set()
+    ends_block = _ENDS_BLOCK
     prev_terminates = False
-    for ins in instrs:
-        if prev_terminates or ins.mnemonic == "JUMPDEST":
-            leaders.add(ins.offset)
-        prev_terminates = ins.opcode.is_terminator
+    for offset, op, _ in instrs:
+        code = op.code
+        if prev_terminates or code == _JUMPDEST:
+            leaders.add(offset)
+        prev_terminates = ends_block[code]
     return leaders
 
 
@@ -127,88 +136,47 @@ def split_blocks(instrs: list[Instruction]) -> list[Block]:
 
 def _make_block(group: list[Instruction]) -> Block:
     start = group[0].offset
-    last = group[-1]
-    end_pc = last.offset + last.size
+    offset, op, _ = group[-1]
+    end_pc = offset + 1 + op.immediate_len
+    kind = _EFFECTS[op.code][0]
     term: Terminator
-    if last.mnemonic == "JUMP":
+    if kind == "jump":
         term = Jump(UNRESOLVED)
-    elif last.mnemonic == "JUMPI":
+    elif kind == "jumpi":
         term = JumpI(UNRESOLVED, str(end_pc))
-    elif last.opcode.halts:
+    elif _ENDS_BLOCK[op.code]:
         term = Halt()
     else:
         term = FallThrough(str(end_pc))
     return Block(id=str(start), start_pc=start, instrs=group, terminator=term)
 
 
-def _to_signed(x: int) -> int:
-    return x - (1 << 256) if x >= (1 << 255) else x
+def _effect(op: Opcode) -> tuple[str, int, object]:
+    """Abstract-stack kind, operand count and argument of ``op``.
+
+    The argument is the N of DUPN/SWAPN, the fold function of a word
+    operation, or for every other opcode the tuple of unknowns it pushes.
+    """
+    name = op.mnemonic
+    if op.is_push:
+        return "push", 0, None
+    if op.is_dup:
+        return "dup", op.delta, op.pair_index
+    if op.is_swap:
+        return "swap", op.delta, op.pair_index
+    if name == "PC":
+        return "pc", 0, None
+    if name in ("JUMP", "JUMPI"):
+        return name.lower(), op.delta, None
+    if name in WORD_OPS:
+        return "fold", op.delta, WORD_OPS[name][0]
+    return "opaque", op.delta, (None,) * op.alpha
 
 
-def _div(a: int, b: int) -> int:
-    return 0 if b == 0 else a // b
-
-
-def _sdiv(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    a, b = _to_signed(a), _to_signed(b)
-    return (abs(a) // abs(b) * (-1 if (a < 0) != (b < 0) else 1)) & _WORD
-
-
-def _mod(a: int, b: int) -> int:
-    return 0 if b == 0 else a % b
-
-
-def _smod(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    a, b = _to_signed(a), _to_signed(b)
-    return (abs(a) % abs(b) * (-1 if a < 0 else 1)) & _WORD
-
-
-def _byte(i: int, x: int) -> int:
-    return (x >> (8 * (31 - i))) & 0xFF if i < 32 else 0
-
-
-def _signextend(b: int, x: int) -> int:
-    if b >= 31:
-        return x
-    bit = 8 * b + 7
-    if x & (1 << bit):
-        return x | (_WORD ^ ((1 << (bit + 1)) - 1))
-    return x & ((1 << (bit + 1)) - 1)
-
-
-# Constant folding over popped operands, top of stack first.  Wrap-around
-# 256-bit semantics: jump targets must be bit-exact.
-_FOLD = {
-    "ADD": lambda a, b: (a + b) & _WORD,
-    "MUL": lambda a, b: (a * b) & _WORD,
-    "SUB": lambda a, b: (a - b) & _WORD,
-    "DIV": _div,
-    "SDIV": _sdiv,
-    "MOD": _mod,
-    "SMOD": _smod,
-    "ADDMOD": lambda a, b, n: 0 if n == 0 else (a + b) % n,
-    "MULMOD": lambda a, b, n: 0 if n == 0 else (a * b) % n,
-    "EXP": lambda a, b: pow(a, b, 1 << 256),
-    "SIGNEXTEND": _signextend,
-    "LT": lambda a, b: int(a < b),
-    "GT": lambda a, b: int(a > b),
-    "SLT": lambda a, b: int(_to_signed(a) < _to_signed(b)),
-    "SGT": lambda a, b: int(_to_signed(a) > _to_signed(b)),
-    "EQ": lambda a, b: int(a == b),
-    "ISZERO": lambda a: int(a == 0),
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
-    "XOR": lambda a, b: a ^ b,
-    "NOT": lambda a: a ^ _WORD,
-    "BYTE": _byte,
-    "SHL": lambda a, b: (b << a) & _WORD if a < 256 else 0,
-    "SHR": lambda a, b: b >> a if a < 256 else 0,
-    "SAR": lambda a, b: (_to_signed(b) >> min(a, 255)) & _WORD,
-}
+# Opcode byte -> abstract effect, and whether the opcode ends a block;
+# built once so the per-instruction passes read no Opcode property.
+_EFFECTS = [_effect(for_byte(b)) for b in range(256)]
+_ENDS_BLOCK = [for_byte(b).is_terminator for b in range(256)]
 
 
 class _Variant:
@@ -248,32 +216,30 @@ def _simulate(block: Block, entry: tuple[AbstractValue, ...]):
     """
     stack = list(entry)
     consts: list[tuple[AbstractValue, ...]] = []
-    for ins in block.instrs:
-        op = ins.opcode
-        if len(stack) < op.delta:
-            raise _Underflow(ins.offset)
-        popped = tuple(stack[-1 - k] for k in range(op.delta))
+    effects = _EFFECTS
+    for offset, op, immediate in block.instrs:
+        kind, delta, arg = effects[op.code]
+        if len(stack) < delta:
+            raise _Underflow(offset)
+        popped = tuple(stack[-1 : -delta - 1 : -1])
         consts.append(popped)
-        if op.is_push:
-            stack.append(ins.immediate)
-        elif op.is_dup:
-            stack.append(stack[-op.pair_index])
-        elif op.is_swap:
-            n = op.pair_index
-            stack[-1], stack[-1 - n] = stack[-1 - n], stack[-1]
-        elif op.mnemonic == "PC":
-            stack.append(ins.offset)
-        elif op.mnemonic in ("JUMP", "JUMPI"):
-            # Leave the operands for the caller; a terminator is last.
-            break
+        if kind == "push":
+            stack.append(immediate)
+        elif kind == "fold":
+            del stack[-delta:]
+            stack.append(None if None in popped else arg(*popped))
+        elif kind == "dup":
+            stack.append(stack[-arg])
+        elif kind == "swap":
+            stack[-1], stack[-1 - arg] = stack[-1 - arg], stack[-1]
+        elif kind == "opaque":
+            del stack[len(stack) - delta :]
+            stack += arg
+        elif kind == "pc":
+            stack.append(offset)
         else:
-            del stack[len(stack) - op.delta :]
-            fold = _FOLD.get(op.mnemonic)
-            if fold is not None:
-                value = None if any(v is None for v in popped) else fold(*popped)
-                stack.append(value)
-            else:
-                stack.extend([None] * op.alpha)
+            # JUMP/JUMPI: leave the operands for the caller; a terminator is last.
+            break
     return consts, tuple(stack)
 
 
@@ -310,7 +276,7 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
         if isinstance(term, JumpI):
             target = exit_stack[-1] if exit_stack else None
             after = exit_stack[:-2]
-            fall_pc = block.start_pc + block.byte_size
+            fall_pc = block.end_pc
             if fall_pc not in by_pc:
                 return ("halt-unres", "fall target off code end"), after
             reason = _check_jump_target(by_pc, target)
@@ -318,7 +284,7 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
                 return ("jumpi-unres", reason, fall_pc), after
             return ("jumpi", target, fall_pc), after
         if isinstance(term, FallThrough):
-            next_pc = block.start_pc + block.byte_size
+            next_pc = block.end_pc
             if next_pc not in by_pc:
                 # Running off the end of code halts (implicit STOP).
                 return ("halt",), exit_stack
@@ -410,7 +376,7 @@ def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
     block = by_pc.get(target)
     if block is None:
         return f"jump target {target} is not a block start"
-    if block.instrs[0].mnemonic != "JUMPDEST":
+    if block.instrs[0].opcode.code != _JUMPDEST:
         return f"jump target {target} is not a JUMPDEST"
     return None
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from .asm import Instruction, disassemble
 from .cfg import block_leaders
 from .errors import EvmFault, StepLimitExceeded, UnsupportedOpcode
-from .opcodes import BLOCKCHAIN_READS, Opcode, for_byte
-
-_MASK = (1 << 256) - 1
+from .opcodes import BLOCKCHAIN_READS, WORD, WORD_OPS, Opcode, for_byte
 
 # Opcodes pushing one environment quantity, and the key it is read from.
 _ENV_READS = {name: key for name, key in BLOCKCHAIN_READS.items() if name != "CALLDATASIZE"}
@@ -52,14 +50,6 @@ class MachineState:
     pc: int = 0
 
 
-def _signed(x: int) -> int:
-    return x - (1 << 256) if x >= (1 << 255) else x
-
-
-def _unsigned(x: int) -> int:
-    return x & _MASK
-
-
 def _decode(instrs: list[Instruction]) -> tuple[list[tuple | None], frozenset[int]]:
     """Per-PC table and jumpdest set of ``instrs``, a whole disassembled program.
 
@@ -71,11 +61,11 @@ def _decode(instrs: list[Instruction]) -> tuple[list[tuple | None], frozenset[in
     size = instrs[-1].offset + instrs[-1].size if instrs else 0
     table: list[tuple | None] = [None] * size
     jumpdests = []
-    for ins in instrs:
-        offset = ins.offset
-        kind, arg, width = _ENTRIES[ins.opcode.code]
+    entries = _ENTRIES
+    for offset, op, immediate in instrs:
+        kind, arg, width = entries[op.code]
         if kind == "push":
-            arg = ins.immediate
+            arg = immediate
         elif kind == "pc":
             kind, arg = "push", offset
         elif kind == "nop":
@@ -124,7 +114,7 @@ def run_evm(
             elif kind == "swap":
                 stack[-1], stack[-1 - arg] = stack[-1 - arg], stack[-1]
             elif kind == "op2":
-                push(arg(pop(), pop()) & _MASK)
+                push(arg(pop(), pop()))
             elif kind == "nop":
                 pass
             elif kind == "jump":
@@ -145,20 +135,20 @@ def run_evm(
                 addr = pop()
                 memory[addr] = pop()
             elif kind == "sload":
-                push(storage.get(pop(), 0) & _MASK)
+                push(storage.get(pop(), 0) & WORD)
             elif kind == "sstore":
                 key = pop()
                 storage[key] = pop()
             elif kind == "op1":
-                push(arg(pop()) & _MASK)
+                push(arg(pop()))
             elif kind == "op3":
-                push(arg(pop(), pop(), pop()) & _MASK)
+                push(arg(pop(), pop(), pop()))
             elif kind == "calldataload":
                 offset = pop()
                 word = calldata[offset : offset + 32] if offset < len(calldata) else b""
                 push(int.from_bytes(word.ljust(32, b"\0"), "big"))
             elif kind == "env":
-                push(env.get(arg, 0) & _MASK)
+                push(env.get(arg, 0) & WORD)
             elif kind == "calldatasize":
                 push(len(calldata))
             elif kind == "stop":
@@ -179,72 +169,6 @@ def run_evm(
     return state, trace
 
 
-def _div(a: int, b: int) -> int:
-    return 0 if b == 0 else a // b
-
-
-def _sdiv(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    sa, sb = _signed(a), _signed(b)
-    q = abs(sa) // abs(sb)
-    return _unsigned(-q if (sa < 0) != (sb < 0) else q)
-
-
-def _mod(a: int, b: int) -> int:
-    return 0 if b == 0 else a % b
-
-
-def _smod(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    sa, sb = _signed(a), _signed(b)
-    r = abs(sa) % abs(sb)
-    return _unsigned(-r if sa < 0 else r)
-
-
-def _signextend(b: int, x: int) -> int:
-    if b >= 31:
-        return x
-    bit = 8 * b + 7
-    mask = (1 << (bit + 1)) - 1
-    return x | (_MASK ^ mask) if x & (1 << bit) else x & mask
-
-
-def _byte(i: int, x: int) -> int:
-    return (x >> (8 * (31 - i))) & 0xFF if i < 32 else 0
-
-
-# name -> (function over popped operands in pop order, arity)
-_ALU = {
-    "ADD": (lambda a, b: a + b, 2),
-    "MUL": (lambda a, b: a * b, 2),
-    "SUB": (lambda a, b: a - b, 2),
-    "DIV": (_div, 2),
-    "SDIV": (_sdiv, 2),
-    "MOD": (_mod, 2),
-    "SMOD": (_smod, 2),
-    "ADDMOD": (lambda a, b, n: 0 if n == 0 else (a + b) % n, 3),
-    "MULMOD": (lambda a, b, n: 0 if n == 0 else (a * b) % n, 3),
-    "EXP": (lambda a, b: pow(a, b, 1 << 256), 2),
-    "SIGNEXTEND": (_signextend, 2),
-    "LT": (lambda a, b: int(a < b), 2),
-    "GT": (lambda a, b: int(a > b), 2),
-    "SLT": (lambda a, b: int(_signed(a) < _signed(b)), 2),
-    "SGT": (lambda a, b: int(_signed(a) > _signed(b)), 2),
-    "EQ": (lambda a, b: int(a == b), 2),
-    "ISZERO": (lambda a: int(a == 0), 1),
-    "AND": (lambda a, b: a & b, 2),
-    "OR": (lambda a, b: a | b, 2),
-    "XOR": (lambda a, b: a ^ b, 2),
-    "NOT": (lambda a: a ^ _MASK, 1),
-    "BYTE": (_byte, 2),
-    "SHL": (lambda a, b: b << a if a < 256 else 0, 2),
-    "SHR": (lambda a, b: b >> a if a < 256 else 0, 2),
-    "SAR": (lambda a, b: _unsigned(_signed(b) >> min(a, 255)), 2),
-}
-
-
 def _entry(op: Opcode) -> tuple[str, object, int]:
     """Table kind, argument and byte width of ``op``.  PUSH takes its
     argument from the immediate and PC ("pc") from the offset, per
@@ -259,8 +183,8 @@ def _entry(op: Opcode) -> tuple[str, object, int]:
         kind, arg = "dup", op.pair_index
     elif op.is_swap:
         kind, arg = "swap", op.pair_index
-    elif name in _ALU:
-        arg, arity = _ALU[name]
+    elif name in WORD_OPS:
+        arg, arity = WORD_OPS[name]
         kind = ("op1", "op2", "op3")[arity - 1]
     elif name in _ENV_READS:
         kind, arg = "env", _ENV_READS[name]
@@ -274,4 +198,4 @@ def _entry(op: Opcode) -> tuple[str, object, int]:
 
 
 # Opcode byte -> table entry, built once so decoding reads no Opcode property.
-_ENTRIES = {b: _entry(for_byte(b)) for b in range(256)}
+_ENTRIES = [_entry(for_byte(b)) for b in range(256)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -194,4 +195,69 @@ BLOCKCHAIN_READS: dict[str, str] = {
     "COINBASE": "coinbase",
     "DIFFICULTY": "difficulty",
     "GASLIMIT": "gaslimit",
+}
+
+
+WORD = (1 << 256) - 1
+
+
+def _to_signed(x: int) -> int:
+    """Two's-complement reading of a 256-bit word."""
+    return x - (1 << 256) if x >= (1 << 255) else x
+
+
+def _sdiv(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    a, b = _to_signed(a), _to_signed(b)
+    q = abs(a) // abs(b)
+    return (-q if (a < 0) != (b < 0) else q) & WORD
+
+
+def _smod(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    a, b = _to_signed(a), _to_signed(b)
+    r = abs(a) % abs(b)
+    return (-r if a < 0 else r) & WORD
+
+
+def _signextend(b: int, x: int) -> int:
+    if b >= 31:
+        return x
+    bit = 8 * b + 7
+    low = (1 << (bit + 1)) - 1
+    return x | (WORD ^ low) if x & (1 << bit) else x & low
+
+
+# The word operations: mnemonic -> (function over the popped operands, top
+# of stack first, arity).  Operands are 256-bit words and so is every
+# result, wrapped as the machine wraps it.  The resolver folds constants
+# with these and the concrete interpreter executes them.
+WORD_OPS: dict[str, tuple[Callable[..., int], int]] = {
+    "ADD": (lambda a, b: (a + b) & WORD, 2),
+    "MUL": (lambda a, b: (a * b) & WORD, 2),
+    "SUB": (lambda a, b: (a - b) & WORD, 2),
+    "DIV": (lambda a, b: a // b if b else 0, 2),
+    "SDIV": (_sdiv, 2),
+    "MOD": (lambda a, b: a % b if b else 0, 2),
+    "SMOD": (_smod, 2),
+    "ADDMOD": (lambda a, b, n: (a + b) % n if n else 0, 3),
+    "MULMOD": (lambda a, b, n: (a * b) % n if n else 0, 3),
+    "EXP": (lambda a, b: pow(a, b, 1 << 256), 2),
+    "SIGNEXTEND": (_signextend, 2),
+    "LT": (lambda a, b: int(a < b), 2),
+    "GT": (lambda a, b: int(a > b), 2),
+    "SLT": (lambda a, b: int(_to_signed(a) < _to_signed(b)), 2),
+    "SGT": (lambda a, b: int(_to_signed(a) > _to_signed(b)), 2),
+    "EQ": (lambda a, b: int(a == b), 2),
+    "ISZERO": (lambda a: int(a == 0), 1),
+    "AND": (lambda a, b: a & b, 2),
+    "OR": (lambda a, b: a | b, 2),
+    "XOR": (lambda a, b: a ^ b, 2),
+    "NOT": (lambda a: a ^ WORD, 1),
+    "BYTE": (lambda i, x: (x >> (8 * (31 - i))) & 0xFF if i < 32 else 0, 2),
+    "SHL": (lambda a, b: (b << a) & WORD if a < 256 else 0, 2),
+    "SHR": (lambda a, b: b >> a if a < 256 else 0, 2),
+    "SAR": (lambda a, b: (_to_signed(b) >> min(a, 255)) & WORD, 2),
 }

@@ -117,3 +117,17 @@ def test_roundtrip_random_streams(seed):
 def test_listing_format():
     listing = format_listing(disassemble(bytes.fromhex("600501")))
     assert listing == "0: PUSH1 0x5\n2: ADD"
+
+
+def test_instruction_is_a_named_tuple():
+    push = Instruction(offset=4, opcode=BY_NAME["PUSH2"], immediate=0x1234)
+    assert push == Instruction(4, BY_NAME["PUSH2"], 0x1234) == (4, BY_NAME["PUSH2"], 0x1234)
+    assert hash(push) == hash((4, BY_NAME["PUSH2"], 0x1234))
+    assert len({push, Instruction(4, BY_NAME["PUSH2"], 0x1234)}) == 1
+    assert str(push) == "4: PUSH2 0x1234"
+    assert (push.size, push.mnemonic) == (3, "PUSH2")
+    stop = Instruction(offset=5, opcode=BY_NAME["STOP"])
+    assert stop.immediate is None and str(stop) == "5: STOP" and stop.size == 1
+    assert push._replace(offset=9) == Instruction(9, BY_NAME["PUSH2"], 0x1234)
+    # disassembly builds the same class, without the keyword constructor
+    assert type(disassemble(b"\x00")[0]) is Instruction

@@ -1,16 +1,21 @@
 """Block splitting, jump resolution, cloning, and DOT output."""
 
+import hashlib
 import random
+
+import pytest
 
 from corpus import CORPUS, TWO_CALLER_CLONE
 from progen import Asm, gen_program
 
-from evmrbr.asm import disassemble
+from evmrbr.asm import Instruction, disassemble
 from evmrbr.cfg import (
+    Block,
     FallThrough,
     Halt,
     Jump,
     JumpI,
+    _simulate,
     block_leaders,
     emit_dot,
     id_sort_key,
@@ -18,6 +23,7 @@ from evmrbr.cfg import (
     split_blocks,
 )
 from evmrbr.evm_exec import run_evm
+from evmrbr.opcodes import for_byte
 
 
 def blocks_of(hexstr: str):
@@ -288,3 +294,110 @@ def test_dot_deterministic_on_generated():
 def test_id_sort_key():
     ids = ["10", "2", "10_c1", "10_c0", "3"]
     assert sorted(ids, key=id_sort_key) == ["2", "3", "10", "10_c0", "10_c1"]
+
+
+def _subroutine_calls() -> bytes:
+    """Two single-block subroutines, each called from three sites."""
+    asm = Asm()
+    for i in range(6):
+        ret = asm.fresh_label("ret")
+        asm.push_label(ret).push(i).push_label(f"sub{i % 2}").op("JUMP")
+        asm.label(ret).op("JUMPDEST").push(i).op("SSTORE")
+    asm.op("STOP")
+    for i in range(2):
+        asm.label(f"sub{i}").op("JUMPDEST").push(3 + i).op("MUL").op("SWAP1").op("JUMP")
+    return asm.assemble()
+
+
+# Programs whose disassembly and resolved CFG are pinned below: the corpus,
+# five generated programs, cloned subroutines, and programs left with
+# unresolved jumps for seven of the reasons the resolver gives.
+_PINNED_PROGRAMS = {
+    **CORPUS,
+    **{f"progen-{seed}": gen_program(random.Random(seed)) for seed in (3, 11, 29, 47, 83)},
+    "subroutine-clones": _subroutine_calls(),
+    "stack-underflow": bytes.fromhex("6003565b0160005500"),
+    "clone-cap": TWO_CALLER_CLONE,
+    "not-a-jumpdest": bytes.fromhex("60035600600160005500"),
+    "not-a-block-start": bytes.fromhex("6006565b600160005500"),
+    "unknown-target": bytes.fromhex("60003556"),
+    "branch-off-code-end": bytes.fromhex("600035600057"),
+    "pc-dup-swap-invalid": bytes.fromhex("5860090180905056fe5b6001600055000c"),
+}
+
+# (digest of the disassembly, digest of the resolved CFG), recorded before
+# Instruction became a tuple and _simulate ran on a per-opcode table.
+_PINNED_DIGESTS = {
+    "add_store": ("ef6eff76e35e0109", "6a276df819af9495"),
+    "bitops": ("f6416f283b02a3bc", "39730616963c13ae"),
+    "branch-off-code-end": ("4fd0e3fb9ccac4cf", "969c5dd033c67578"),
+    "calldata_env": ("514c051e6ea1e4b9", "2df566d81a6a9bbe"),
+    "clone-cap": ("05ed566f521d2ef2", "68d7779437209222"),
+    "counter_loop": ("9a0607cf3411e592", "ba0e4a1dc03f185d"),
+    "dispatcher": ("29d6e3ce4129e156", "978400757bd320ce"),
+    "iszero_chain": ("b7419cdbc0956c06", "7926c7bb1a0f9e28"),
+    "jumpi_const": ("3522b833ea39d910", "cded8cca7acf24d1"),
+    "memory_shuffle": ("099d5322cd528eeb", "1880d5ad0a475e95"),
+    "not-a-block-start": ("81b2e3f14e0c1b1a", "2193df0ef4aa518c"),
+    "not-a-jumpdest": ("8c5f670263fd61da", "ea2df8ecd2b27c86"),
+    "not_store": ("87cb9a7944bec14f", "ceb9eb12d7284f8a"),
+    "pc-dup-swap-invalid": ("0e6a07098c8269a6", "261ac3b000db4fe2"),
+    "progen-11": ("87ed52946239ab20", "45211963c3f0bdfa"),
+    "progen-29": ("ad088abfe6cb7898", "f18f4eb438119470"),
+    "progen-3": ("6df0cee0d98cea21", "66d9d0e255884ad5"),
+    "progen-47": ("cf81fad97c26cad4", "86c119e72c37d6ae"),
+    "progen-83": ("0dcc2c78fb0294a6", "c1b9194382694aad"),
+    "six_loops": ("ccf2fa5323e89024", "06a9816d7cba54bf"),
+    "stack-underflow": ("e013494c762310d9", "1ca70fc160af9c9f"),
+    "subroutine-clones": ("5c07ccdc0eff14a7", "ebe62361eb61f9f5"),
+    "two_block_jump": ("4315c059e020dbee", "08be8eda3565dd16"),
+    "two_caller_clone": ("05ed566f521d2ef2", "dd41663486ee78cc"),
+    "unknown-target": ("89074be14c15b463", "c9836ae7f3dafeb7"),
+}
+
+
+def _listing_digest(instrs) -> str:
+    text = "\n".join(f"{i.offset} {i.opcode.code} {i.immediate}" for i in instrs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _cfg_digest(cfg) -> str:
+    lines = [
+        f"{b.id} {b.start_pc} {b.terminator!r} {b.entry_height} {b.dead} {b.const_operands!r}"
+        for b in cfg.blocks.values()
+    ]
+    lines.append(f"entry {cfg.entry} unresolved {cfg.unresolved!r}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PROGRAMS))
+def test_disassembly_and_cfg_are_pinned(name):
+    code = _PINNED_PROGRAMS[name]
+    instrs = disassemble(code)
+    cfg = resolve_cfg(split_blocks(instrs), clone_cap=1 if name == "clone-cap" else 32)
+    assert (_listing_digest(instrs), _cfg_digest(cfg)) == _PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("byte", range(256))
+def test_one_instruction_stack_effect(byte):
+    op = for_byte(byte)
+    ins = Instruction(7, op, 1 if op.immediate_len else None)
+    entry = tuple(range(100, 100 + op.delta + 1))
+    block = Block(id="7", start_pc=7, instrs=[ins], terminator=Halt())
+    consts, exit_stack = _simulate(block, entry)
+    # the popped operands, top of stack first
+    assert consts == [entry[len(entry) - op.delta :][::-1]]
+    if op.mnemonic in ("JUMP", "JUMPI"):
+        assert exit_stack == entry
+    else:
+        assert len(exit_stack) == len(entry) - op.delta + op.alpha
+        assert exit_stack[0] == entry[0]  # the item below the operands stays
+    if op.is_push:
+        assert exit_stack[-1] == 1
+    elif op.mnemonic == "PC":
+        assert exit_stack[-1] == 7
+    elif op.is_dup:
+        assert exit_stack[-1] == entry[-op.pair_index]
+    elif op.is_swap:
+        n = op.pair_index
+        assert (exit_stack[-1], exit_stack[-1 - n]) == (entry[-1 - n], entry[-1])

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -168,3 +169,16 @@ def test_environment_names_keep_their_draw_order():
         "address", "caller", "callvalue", "coinbase", "difficulty", "gas",
         "gaslimit", "gasprice", "number", "origin", "timestamp",
     )
+
+
+def test_calldata_buffer_is_made_once_per_check():
+    # PUSH3 0xffffff, CALLDATALOAD, PUSH1 0, SSTORE, STOP: a 16 MiB buffer
+    code = bytes.fromhex("62ffffff3560005500")
+    tracemalloc.start()
+    try:
+        report = differential_check(code, n_cases=20, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.agreed, report.text()
+    assert peak < 24 << 20, peak
