@@ -19,9 +19,10 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import EvmRbrError, NoApplicableRule, StepLimitExceeded, UnboundVariable
-from .rbr import Assign, BinOp, BitOp, Guard, Not, Num, Rule, Var
+from .rbr import Assign, BinOp, BitOp, Not, Num, Rule, Var
 
-_MASK = (1 << 256) - 1
+# ``not x`` runs as ``x xor`` this word mask.
+_NOT_MASK = Num((1 << 256) - 1)
 
 
 @dataclass
@@ -73,63 +74,123 @@ _RELATION_TESTS = {
 }
 
 
+# The value of a frame slot no assignment, call or input has bound.
+UNBOUND = object()
+
+
 @dataclass(frozen=True)
 class RuleIndex:
-    """Rules prepared once for any number of runs.
+    """Rules prepared once for any number of runs, over numbered variables.
+
+    Every variable name gets one frame slot.  The layout parameters come
+    first, in ``param_names()`` order, then ``s0`` up to the last stack slot
+    any call passes, then every other name (``fresh_*``, ``gl``, ``gs1``,
+    ``ll``, stack slots no call passes, ...).  A call passing ``c`` stack
+    slots thus passes exactly the first ``len(args)`` slots, ``P + c``.
+    Literals are kept in a constant pool after the variable slots and read
+    by negative index, so every atom is a frame index.
 
     ``groups`` maps each rule name to its rules, in program order, each as
     ``(guard, body, callee, args)``.  A guard is ``(test, lhs, rhs)`` and an
-    assignment ``(target, op, lhs, rhs)``, where an atom is an ``int``
-    literal or a ``str`` variable name and ``op`` is None for a plain copy
-    of ``lhs``.  ``args`` is the callee's argument names, one tuple shared
-    by all calls passing the same number of stack slots.
+    assignment ``(target, op, lhs, rhs)``, where the target is a slot, an
+    atom is a frame index and ``op`` is None for a plain copy of ``lhs``.
+    ``args`` is the callee's argument names, one tuple shared by all calls
+    passing the same number of stack slots.  ``names`` holds the variable
+    of each slot, ``template`` a frame with every slot unbound, and
+    ``tails[n]`` the unbound run that clears the slots from ``n`` on.
     """
 
     groups: dict[str, list[tuple]]
-
-
-def _atom(atom) -> int | str:
-    return atom.value if isinstance(atom, Num) else atom.name
-
-
-def _assignment(stmt: Assign) -> tuple:
-    expr = stmt.value
-    if isinstance(expr, (Num, Var)):
-        return stmt.target, None, _atom(expr), None
-    if isinstance(expr, (BinOp, BitOp)):
-        return stmt.target, _OPS[expr.op], _atom(expr.lhs), _atom(expr.rhs)
-    if isinstance(expr, Not):
-        return stmt.target, operator.xor, _atom(expr.operand), _MASK
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _guard(guard: Guard | None) -> tuple | None:
-    if guard is None:
-        return None
-    return _RELATION_TESTS[guard.relation], _atom(guard.lhs), _atom(guard.rhs)
+    names: tuple[str, ...]
+    slots: dict[str, int]
+    template: tuple
+    tails: dict[int, list]
 
 
 def index_rules(rules: list[Rule]) -> RuleIndex:
-    """Index ``rules`` by name, with guards and bodies as flat tuples."""
-    shared_args: dict[tuple[int, int], tuple[str, ...]] = {}
+    """Number the variables of ``rules`` and index the rules by name, with
+    guards and bodies as flat tuples over frame indices.
+
+    Raises EvmRbrError when the rules do not share one parameter list, or
+    when that list and the passed stack slots name one variable twice.
+    """
+    params: list[str] | None = None
+    checked: set[int] = set()
+    width = 0
+    for rule in rules:
+        if id(rule.layout) not in checked:
+            these = rule.layout.param_names()
+            if params is None:
+                params = these
+            elif these != params:
+                raise EvmRbrError("rules with different variable layouts cannot run together")
+            checked.add(id(rule.layout))
+        call = rule.continuation
+        if call is not None and call.stack_count > width:
+            width = call.stack_count
+    names = (params or []) + [f"s{i}" for i in range(width)]
+    slots = {name: slot for slot, name in enumerate(names)}
+    if len(slots) != len(names):
+        twice = next(name for slot, name in enumerate(names) if slots[name] != slot)
+        raise EvmRbrError(f"rule parameters name {twice} twice")
+    consts: dict[int, int] = {}
+
+    def slot_of(name: str) -> int:
+        slot = slots[name] = len(names)
+        names.append(name)
+        return slot
+
+    def index_of(atom) -> int:
+        if atom.__class__ is Var:
+            slot = slots.get(atom.name)
+            return slot_of(atom.name) if slot is None else slot
+        index = consts.get(atom.value)
+        if index is None:
+            index = consts[atom.value] = -1 - len(consts)
+        return index
+
+    shared_args: dict[int, tuple[str, ...]] = {}
     groups: dict[str, list[tuple]] = {}
     for rule in rules:
+        guard = rule.guard
+        if guard is not None:
+            guard = _RELATION_TESTS[guard.relation], index_of(guard.lhs), index_of(guard.rhs)
+        body = []
+        for stmt in rule.body:
+            if stmt.__class__ is not Assign:
+                continue
+            target = slots.get(stmt.target)
+            if target is None:
+                target = slot_of(stmt.target)
+            expr = stmt.value
+            kind = expr.__class__
+            if kind is BinOp or kind is BitOp:
+                body.append((target, _OPS[expr.op], index_of(expr.lhs), index_of(expr.rhs)))
+            elif kind is Var or kind is Num:
+                body.append((target, None, index_of(expr), None))
+            elif kind is Not:
+                body.append((target, operator.xor, index_of(expr.operand), index_of(_NOT_MASK)))
+            else:
+                raise TypeError(f"not an expression: {expr!r}")
         call = rule.continuation
         callee, args = None, ()
         if call is not None:
             callee = call.target
-            key = (call.stack_count, id(rule.layout))
-            if key not in shared_args:
-                shared_args[key] = tuple(rule.call_args(call))
-            args = shared_args[key]
-        body = tuple(_assignment(stmt) for stmt in rule.body if isinstance(stmt, Assign))
-        groups.setdefault(rule.name, []).append((_guard(rule.guard), body, callee, args))
-    return RuleIndex(groups)
+            args = shared_args.get(call.stack_count)
+            if args is None:
+                args = shared_args[call.stack_count] = tuple(rule.call_args(call))
+        groups.setdefault(rule.name, []).append((guard, tuple(body), callee, args))
+
+    size = len(names)
+    tails = {len(args): [UNBOUND] * (size - len(args)) for args in shared_args.values()}
+    template = (UNBOUND,) * size + tuple(reversed(consts))
+    return RuleIndex(groups, tuple(names), slots, template, tails)
 
 
-def _read_unbound(name: str, rule: str, bindings: dict[str, int], fresh: random.Random) -> int:
+def _read_unbound(slot: int, rule: str, frame: list, names: tuple, fresh: random.Random) -> int:
+    name = names[slot]
     if name.startswith("fresh_"):
-        drawn = bindings[name] = fresh.randrange(1 << 64)
+        drawn = frame[slot] = fresh.randrange(1 << 64)
         return drawn
     raise UnboundVariable(name, rule)
 
@@ -147,13 +208,25 @@ def run_rbr(
     ``rules`` is a rule list or its :func:`index_rules` index, which a
     caller running many inputs builds once.  ``init`` must bind every
     field/local/blockchain parameter of the entry rule (the entry takes no
-    stack parameters).
+    stack parameters).  The run keeps one frame: a call checks that the
+    slots it passes are bound and clears the rest.
     """
-    groups = (rules if isinstance(rules, RuleIndex) else index_rules(rules)).groups
+    index = rules if isinstance(rules, RuleIndex) else index_rules(rules)
+    groups, names, slots, tails = index.groups, index.names, index.slots, index.tails
     if entry not in groups:
         raise EvmRbrError(f"no rule named {entry}")
 
-    bindings = dict(init.bindings if isinstance(init, RbrState) else init)
+    frame = list(index.template)
+    size = len(names)
+    # Inputs no rule names live only as long as the entry rule's frame.
+    unnamed = {}
+    for key, value in (init.bindings if isinstance(init, RbrState) else init).items():
+        slot = slots.get(key)
+        if slot is None:
+            unnamed[key] = value
+        else:
+            frame[slot] = value
+    bound = 0  # frame[:bound] holds no UNBOUND
     fresh = random.Random(fresh_seed)
     name = entry
     trace: list[str] = []
@@ -174,11 +247,13 @@ def run_rbr(
                 if candidate[0] is None:
                     continue
                 test, a, b = candidate[0]
-                if a.__class__ is str:
-                    a = bindings[a] if a in bindings else _read_unbound(a, name, bindings, fresh)
-                if b.__class__ is str:
-                    b = bindings[b] if b in bindings else _read_unbound(b, name, bindings, fresh)
-                if test(a, b):
+                x = frame[a]
+                if x is UNBOUND:
+                    x = _read_unbound(a, name, frame, names, fresh)
+                y = frame[b]
+                if y is UNBOUND:
+                    y = _read_unbound(b, name, frame, names, fresh)
+                if test(x, y):
                     applicable.append(candidate)
             if len(applicable) != 1:
                 raise NoApplicableRule(name, len(applicable))
@@ -186,18 +261,25 @@ def run_rbr(
 
         _, body, callee, args = rule
         for target, op, a, b in body:
-            if a.__class__ is str:
-                a = bindings[a] if a in bindings else _read_unbound(a, name, bindings, fresh)
+            x = frame[a]
+            if x is UNBOUND:
+                x = _read_unbound(a, name, frame, names, fresh)
             if op is not None:
-                if b.__class__ is str:
-                    b = bindings[b] if b in bindings else _read_unbound(b, name, bindings, fresh)
-                a = op(a, b)
-            bindings[target] = a
+                y = frame[b]
+                if y is UNBOUND:
+                    y = _read_unbound(b, name, frame, names, fresh)
+                x = op(x, y)
+            frame[target] = x
 
         if callee is None:
+            bindings = {var: value for var, value in zip(names, frame) if value is not UNBOUND}
+            if len(trace) == 1:
+                bindings = {**unnamed, **bindings}
             return RbrState(bindings=bindings, rule=name), trace
-        try:
-            bindings = {arg: bindings[arg] for arg in args}
-        except KeyError as err:
-            raise UnboundVariable(err.args[0], name) from None
+        passed = len(args)
+        if passed > bound and UNBOUND in frame[bound:passed]:
+            unbound = next(arg for arg in args if frame[slots[arg]] is UNBOUND)
+            raise UnboundVariable(unbound, name)
+        frame[passed:size] = tails[passed]
+        bound = passed
         name = callee

@@ -48,6 +48,11 @@ from .rbr import (
 
 log = logging.getLogger(__name__)
 
+# Constant storage keys below this bound become fields g0..g<key>; the
+# family is dense, so a larger key (a hashed slot, say) would make every
+# rule carry that many parameters.
+FIELD_KEY_BOUND = 256
+
 _BINOPS = {"ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/", "MOD": "%", "EXP": "^"}
 _BITOPS = {"AND": "and", "OR": "or", "XOR": "xor"}
 # Comparison openers of a guard window, with the relation that holds on the
@@ -98,9 +103,13 @@ def build_layout(cfg: Cfg) -> VarLayout:
 
     Memory addresses register in first-seen order over blocks in ascending
     id order; calldata offsets are ranked ascending; environment names are
-    sorted, so the layout is deterministic.
+    sorted, so the layout is deterministic.  The ``g`` family is dense up
+    to the highest constant storage key, so keys at or above
+    ``FIELD_KEY_BOUND`` are left out of it and their accesses translate as
+    non-constant ones.
     """
     k = -1
+    wide_keys: set[int] = set()
     lmap: dict[int, int] = {}
     md: set[int] = set()
     named: set[str] = set()
@@ -112,13 +121,23 @@ def build_layout(cfg: Cfg) -> VarLayout:
                 if addr is not None and addr not in lmap:
                     lmap[addr] = len(lmap)
             elif name in ("SSTORE", "SLOAD"):
-                if popped[0] is not None:
-                    k = max(k, popped[0])
+                key = popped[0]
+                if key is not None:
+                    if key < FIELD_KEY_BOUND:
+                        k = max(k, key)
+                    else:
+                        wide_keys.add(key)
             elif name == "CALLDATALOAD":
                 if popped[0] is not None:
                     md.add(popped[0])
             elif name in BLOCKCHAIN_READS:
                 named.add(BLOCKCHAIN_READS[name])
+    if wide_keys:
+        log.warning(
+            "%d constant storage key(s) at or above %d translated as non-constant",
+            len(wide_keys),
+            FIELD_KEY_BOUND,
+        )
     return VarLayout(
         k=k,
         r=len(lmap) - 1,

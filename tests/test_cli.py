@@ -1,8 +1,10 @@
 """Command-line behaviour: outputs, exit codes, stream separation."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from corpus import ADD_STORE, CORPUS
 import evmrbr.cli
 import evmrbr.diff
 import evmrbr.evm_exec
+from evmrbr import decompile
 from evmrbr.cli import main
 from evmrbr.parse import parse_rbr
 
@@ -25,6 +28,19 @@ def run(capsys, monkeypatch, tmp_path):
         return code, captured.out, captured.err
 
     return invoke
+
+
+def cli_process(*argv, stdin: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process that imports this package."""
+    src = str(Path(evmrbr.cli.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "evmrbr", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def hexfile(tmp_path, data: bytes, name="code.hex"):
@@ -160,6 +176,31 @@ def test_check_calldata_offset_below_the_bound(run):
     assert out == "divergences: 0/2\n"
 
 
+# PUSH1 1, PUSH32 <EIP-1967 implementation slot>, SSTORE, STOP
+_EIP1967_STORE = (
+    "6001" "7f360894a13ba1a3210667c828492db98dca3e2076cc3735a920a3ca505d382bbc" "5500"
+)
+# a random mutant of a generated program, storing at a 200-bit constant key
+_WIDE_KEY_MUTANT = (
+    "60403542026000356175c5011361001f57425806b2403517600355610024565b4460025"
+    "55b6000600678801561003c578091019060019003610029565b50600255426003554460015500"
+)
+
+
+@pytest.mark.parametrize("hexstr", [_EIP1967_STORE, _WIDE_KEY_MUTANT])
+@pytest.mark.parametrize("command", ["rbr", "saco", "check", "loops"])
+def test_wide_storage_key_is_not_a_field(run, caplog, hexstr, command):
+    code, out, err = run(command, "-", stdin=hexstr)
+    assert code == 0, err
+    assert [rec.message for rec in caplog.records] == [
+        "1 constant storage key(s) at or above 256 translated as non-constant"
+    ]
+    if command == "rbr":
+        assert parse_rbr(out) == decompile(bytes.fromhex(hexstr))
+    if command == "check":
+        assert out == "divergences: 0/20\n"
+
+
 def test_check_call_counts(run, monkeypatch):
     calls = {"disassemble": 0, "resolve_cfg": 0}
     for module in (evmrbr.cli, evmrbr.diff, evmrbr.evm_exec):
@@ -197,12 +238,16 @@ def test_stdout_deterministic(run):
 def test_diagnostics_go_to_stderr():
     # jumpi on a pushed constant triggers the guard-fallback warning; run as
     # a real subprocess so stream separation is observed end to end
-    result = subprocess.run(
-        [sys.executable, "-m", "evmrbr", "rbr", "-"],
-        input=CORPUS["jumpi_const"].hex(),
-        capture_output=True,
-        text=True,
-    )
+    result = cli_process("rbr", "-", stdin=CORPUS["jumpi_const"].hex())
     assert result.returncode == 0
     assert "no guard pattern" not in result.stdout
     assert "no guard pattern" in result.stderr
+
+
+def test_wide_storage_key_warns_in_one_line():
+    result = cli_process("check", "-", "--runs", "2", stdin=_EIP1967_STORE)
+    assert result.returncode == 0
+    assert result.stdout == "divergences: 0/2\n"
+    assert result.stderr == (
+        "WARNING: 1 constant storage key(s) at or above 256 translated as non-constant\n"
+    )

@@ -1,13 +1,22 @@
 """Rule interpreter semantics."""
 
+import hashlib
 import random
 
 import pytest
 
-from corpus import ADD_STORE, COUNTER_LOOP, TWO_BLOCK_JUMP
+from corpus import ADD_STORE, CORPUS, COUNTER_LOOP, TWO_BLOCK_JUMP
+from progen import gen_program
 
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
+from evmrbr.diff import (
+    _ENV_NAMES,
+    INPUT_BOUND,
+    _draw_calldata,
+    _initial_bindings,
+    _make_calldata,
+)
 from evmrbr.errors import (
     EvmRbrError,
     NoApplicableRule,
@@ -15,6 +24,7 @@ from evmrbr.errors import (
     UnboundVariable,
 )
 from evmrbr.parse import parse_rbr
+from evmrbr.rbr import Call, Rule, VarLayout
 from evmrbr.rbr_exec import RbrState, index_rules, run_rbr
 from evmrbr.translate import translate_cfg
 
@@ -154,6 +164,9 @@ def test_no_applicable_rule_names_the_rule():
         ("block_0() =>\n  s0 = 1,\n  s1 = s0 + s2", "s2", "block_0"),
         # passed to a call without being bound
         ("block_0() =>\n  call(block_1(s0))\n\nblock_1(s0) =>\n  s1 = s0", "s0", "block_0"),
+        # the same, by a rule that was called itself
+        ("block_0() =>\n  call(block_1())\n\nblock_1() =>\n  call(block_2(s0))\n\n"
+         "block_2(s0) =>\n  s1 = s0", "s0", "block_1"),
         # bound in the caller but not passed
         ("block_0() =>\n  s0 = 1,\n  call(block_1())\n\nblock_1() =>\n  s1 = s0", "s0", "block_1"),
         # read by a guard
@@ -193,3 +206,193 @@ def test_index_shares_argument_tuples_by_stack_count():
             if callee is not None:
                 assert args_of.setdefault(len(args), args) is args
     assert len(args_of) > 1
+
+
+# --- runs pinned before the interpreter moved to slot-indexed frames ---
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _run_text(rules, init, **kwargs) -> str:
+    """The trace, final rule and sorted final bindings of one run, or its error."""
+    try:
+        state, trace = run_rbr(rules, init, **kwargs)
+    except EvmRbrError as err:
+        return f"{type(err).__name__}: {err}"
+    return repr((trace, state.rule, sorted(state.bindings.items())))
+
+
+def _check_runs(code: bytes, n_cases: int, seed: int) -> str:
+    """The runs of ``differential_check(code, n_cases, seed)``, on its inputs."""
+    cfg = resolve_cfg(split_blocks(disassemble(code)))
+    rules = translate_cfg(cfg)
+    layout = rules[0].layout
+    index = index_rules(rules)
+    rng = random.Random(seed)
+    calldata = _make_calldata(layout)
+    runs = []
+    for _ in range(n_cases):
+        _draw_calldata(calldata, layout, rng)
+        env = {name: rng.randrange(INPUT_BOUND) for name in _ENV_NAMES}
+        storage = {i: rng.randrange(INPUT_BOUND) for i in range(layout.k + 1)}
+        fresh_seed = rng.randrange(1 << 30)
+        init = _initial_bindings(layout, calldata, env, storage)
+        runs.append(_run_text(index, init, entry=f"block_{cfg.entry}", fresh_seed=fresh_seed))
+    return "\n".join(runs)
+
+
+# Digests of _check_runs: the corpus with 5 cases on seed 17, and 12-segment
+# programs of five progen seeds with 5 cases on the program's seed.
+_PINNED_CHECK_RUNS = {
+    "add_store": "0895935a1e17c3ae",
+    "bitops": "e7370500ca35fd9e",
+    "calldata_env": "e7ffccf369584711",
+    "counter_loop": "9d86c7c54bf14228",
+    "dispatcher": "e391568f69755f51",
+    "iszero_chain": "908576c47f2d60b6",
+    "jumpi_const": "cebe697f6d5264bc",
+    "memory_shuffle": "9224b3d3bd5b0c05",
+    "not_store": "30f87e854e4dcadb",
+    "six_loops": "39c0690bb2f2777f",
+    "two_block_jump": "d299caae87d43a61",
+    "two_caller_clone": "db9a8fb5a9e429bd",
+}
+_PINNED_PROGEN_RUNS = {
+    3: "631ebea7abb9d7cf",
+    11: "3f5752442a4a1ac8",
+    29: "5849a489956cf5dd",
+    47: "290a06abc0555a23",
+    83: "e936b376a642fdf0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_runs_are_pinned(name):
+    assert _digest(_check_runs(CORPUS[name], 5, 17)) == _PINNED_CHECK_RUNS[name]
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_PROGEN_RUNS))
+def test_generated_program_runs_are_pinned(seed):
+    code = gen_program(random.Random(seed), 12)
+    assert _digest(_check_runs(code, 5, seed)) == _PINNED_PROGEN_RUNS[seed]
+
+
+# Fresh reads in guards, bodies and across calls, a fresh target, and a loop
+# that re-draws the same fresh names on every pass.
+_FRESH_HEAVY = """
+block_0(g0, g1, l0) =>
+  s0 = 3,
+  g1 = fresh_0 % 5,
+  call(block_1(s0, g0, g1, l0))
+
+block_1(s0, g0, g1, l0) =>
+  s1 = fresh_0 % 2,
+  s2 = fresh_1,
+  g0 = g0 + s2,
+  l0 = xor(l0, fresh_2),
+  call(jump_1(s0, s1, g0, g1, l0))
+
+jump_1(s0, s1, g0, g1, l0) =>
+  eq(s1, 0) | call(block_2(s0, g0, g1, l0))
+
+jump_1(s0, s1, g0, g1, l0) =>
+  neq(s1, 0) | call(block_3(s0, g0, g1, l0))
+
+block_2(s0, g0, g1, l0) =>
+  s0 = s0 - 1,
+  gl = fresh_3,
+  call(jump_4(s0, g0, g1, l0))
+
+block_3(s0, g0, g1, l0) =>
+  fresh_4 = 7,
+  g1 = g1 + fresh_4,
+  s0 = s0 - 1,
+  call(jump_4(s0, g0, g1, l0))
+
+jump_4(s0, g0, g1, l0) =>
+  gt(s0, 0) | call(block_1(s0, g0, g1, l0))
+
+jump_4(s0, g0, g1, l0) =>
+  leq(s0, 0) | call(jump_5(g0, g1, l0))
+
+jump_5(g0, g1, l0) =>
+  lt(fresh_5, 9223372036854775808) | call(block_6(g0, g1, l0))
+
+jump_5(g0, g1, l0) =>
+  geq(fresh_5, 9223372036854775808) | call(block_7(g0, g1, l0))
+
+block_6(g0, g1, l0) =>
+  s0 = fresh_6,
+  g0 = not(s0)
+
+block_7(g0, g1, l0) =>
+  g0 = and(fresh_6, fresh_7),
+  g1 = fresh_7
+"""
+
+
+def test_fresh_heavy_runs_are_pinned():
+    rules = parse_rbr(_FRESH_HEAVY)
+    runs = [
+        _run_text(rules, {"g0": g0, "g1": 1, "l0": 2}, fresh_seed=seed)
+        for seed in range(12)
+        for g0 in (0, 5)
+    ]
+    assert _digest("\n".join(runs)) == "0c96184d08c3ae5d"
+
+
+@pytest.mark.parametrize(
+    "body, name",
+    [
+        ("", "s0"),
+        ("  s0 = 1,\n", "s1"),
+        ("  s1 = 1,\n", "s0"),
+        ("  s0 = 1,\n  s1 = 2,\n", "g0"),
+    ],
+)
+def test_first_unbound_argument_in_call_order_is_named(body, name):
+    # the arguments run s0, s1, g0: a stack slot comes before a field
+    text = f"block_0(g0) =>\n{body}  call(block_1(s0, s1, g0))\n\nblock_1(s0, s1, g0) =>"
+    with pytest.raises(UnboundVariable) as err:
+        run_rbr(parse_rbr(text), {})
+    assert (err.value.name, err.value.rule) == (name, "block_0")
+
+
+def test_unused_init_names_are_kept_until_the_first_call():
+    halts = parse_rbr("block_0() =>\n  s0 = 1")
+    state, _ = run_rbr(halts, {"zz": 5, "g9": 6})
+    assert state.bindings == {"zz": 5, "g9": 6, "s0": 1}
+    calls = parse_rbr("block_0() =>\n  call(block_1())\n\nblock_1() =>\n  s0 = 1")
+    state, _ = run_rbr(calls, {"zz": 5, "g9": 6})
+    assert state.bindings == {"s0": 1}
+
+
+def test_fresh_value_does_not_survive_a_call():
+    text = (
+        "block_0(g0) =>\n  g0 = fresh_0,\n  call(block_1(g0))\n\n"
+        "block_1(g0) =>\n  s0 = fresh_0"
+    )
+    state, _ = run_rbr(parse_rbr(text), {"g0": 0}, fresh_seed=4)
+    draws = random.Random(4)
+    first, second = draws.randrange(1 << 64), draws.randrange(1 << 64)
+    assert state.bindings == {"g0": first, "fresh_0": second, "s0": second}
+
+
+def test_mixed_layouts_are_refused():
+    one, two = VarLayout(k=0), VarLayout(k=1)
+    rules = [
+        Rule("block_0", 0, one, None, [], Call("block_1", 0)),
+        Rule("block_1", 0, two, None, [], None),
+    ]
+    with pytest.raises(EvmRbrError, match="different variable layouts"):
+        index_rules(rules)
+
+
+@pytest.mark.parametrize("named", [("gas", "gas"), ("s0",)])
+def test_parameter_named_twice_is_refused(named):
+    layout = VarLayout(named_bc=named)
+    rules = [Rule("block_0", 0, layout, None, [], Call("block_0", 1))]
+    with pytest.raises(EvmRbrError, match=f"rule parameters name {named[0]} twice"):
+        index_rules(rules)

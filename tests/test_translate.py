@@ -16,6 +16,7 @@ from evmrbr.evm_exec import run_evm
 from evmrbr.opcodes import BY_NAME
 from evmrbr.rbr import Assign, BinOp, Guard, Nop, Num, Var
 from evmrbr.translate import (
+    FIELD_KEY_BOUND,
     TranslationState,
     UnsupportedGuard,
     build_layout,
@@ -55,6 +56,32 @@ def test_layout_field_count_covers_highest_key():
     layout = build_layout(cfg_of(asm.assemble()))
     assert layout.k == 2
     assert layout.param_names() == ["g0", "g1", "g2"]
+
+
+def test_layout_fields_stop_below_the_key_bound(caplog):
+    asm = Asm()
+    asm.push(9).push(FIELD_KEY_BOUND - 1).op("SSTORE").op("STOP")
+    with caplog.at_level("WARNING"):
+        layout = build_layout(cfg_of(asm.assemble()))
+    assert layout.k == FIELD_KEY_BOUND - 1
+    assert not caplog.records
+
+
+def test_layout_key_at_the_bound_is_non_constant(caplog):
+    asm = Asm()
+    asm.push(9).push(FIELD_KEY_BOUND).op("SSTORE")
+    asm.push(1 << 255).op("SLOAD").push(2).op("SSTORE")
+    asm.push(FIELD_KEY_BOUND).op("SLOAD").op("STOP")
+    with caplog.at_level("WARNING"):
+        rules = rules_of(asm.assemble())
+    assert rules[0].layout.k == 2
+    assert [rec.message for rec in caplog.records] == [
+        f"2 constant storage key(s) at or above {FIELD_KEY_BOUND} translated as non-constant"
+    ]
+    assigns = [s for s in rules[0].body if isinstance(s, Assign)]
+    assert [s.target for s in assigns] == [
+        "s0", "s1", "gs1", "gs2", "s0", "gl", "s0", "s1", "g2", "s0", "gl", "s0",
+    ]
 
 
 def test_layout_bc_vars_sorted():
