@@ -71,8 +71,8 @@ def differential_check(
 
     ``rules`` overrides the translation (used to prove the harness catches
     corrupted rule sets).  The rules are indexed once and every case runs
-    on that index; the concrete side runs on ``code`` itself, decoded
-    afresh by each case.  Divergences and rule-interpreter failures are
+    on that index; the concrete side runs on ``code`` itself, which each
+    case disassembles afresh.  Divergences and rule-interpreter failures are
     report content; concrete-interpreter failures raise, since they mean
     the program is outside the oracle's subset.
     """

@@ -1,7 +1,10 @@
 """Concrete mini-EVM used as differential-testing ground truth.
 
 Executes the deterministic opcode subset with real 256-bit wrap-around
-semantics and records every basic-block entry PC.  Memory is word-granular
+semantics and records every basic-block entry PC.  The entries are found
+from execution itself, not from :mod:`evmrbr.cfg`: the check compares this
+trace with one derived from the CFG, so a shared leader bug would agree
+with itself.  Memory is word-granular
 (a map from the exact address used to a 256-bit value), matching the model
 the rules are checked against.  Hashing, calls, contract creation and logs
 are not interpreted: programs fed to the oracle must avoid them.
@@ -11,18 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .asm import Instruction, disassemble
-from .cfg import block_leaders
+from .asm import disassemble
 from .errors import EvmFault, StepLimitExceeded, UnsupportedOpcode
 from .opcodes import BLOCKCHAIN_READS, WORD, WORD_OPS, Opcode, for_byte
 
 # Opcodes pushing one environment quantity, and the key it is read from.
 _ENV_READS = {name: key for name, key in BLOCKCHAIN_READS.items() if name != "CALLDATASIZE"}
 
-# Mnemonic -> kind of table entry, for opcodes whose entry needs no argument.
+# Mnemonic -> kind, for opcodes whose kind needs no argument.
 _KINDS = {
     "POP": "pop",
-    "JUMPDEST": "nop",
+    "JUMPDEST": "jumpdest",
     "JUMP": "jump",
     "JUMPI": "jumpi",
     "STOP": "stop",
@@ -50,30 +52,6 @@ class MachineState:
     pc: int = 0
 
 
-def _decode(instrs: list[Instruction]) -> tuple[list[tuple | None], frozenset[int]]:
-    """Per-PC table and jumpdest set of ``instrs``, a whole disassembled program.
-
-    ``table[pc]`` is ``(kind, arg, next_pc, leader)`` at each instruction
-    start and None inside immediates; ``leader`` is set where a basic block
-    starts.  Its length is the code size.
-    """
-    leaders = block_leaders(instrs)
-    size = instrs[-1].offset + instrs[-1].size if instrs else 0
-    table: list[tuple | None] = [None] * size
-    jumpdests = []
-    entries = _ENTRIES
-    for offset, op, immediate in instrs:
-        kind, arg, width = entries[op.code]
-        if kind == "push":
-            arg = immediate
-        elif kind == "pc":
-            kind, arg = "push", offset
-        elif kind == "nop":
-            jumpdests.append(offset)
-        table[offset] = (kind, arg, offset + width, offset in leaders)
-    return table, frozenset(jumpdests)
-
-
 def run_evm(
     code: bytes,
     calldata: bytes = b"",
@@ -83,50 +61,65 @@ def run_evm(
 ) -> tuple[MachineState, list[int]]:
     """Execute ``code``; returns the final state and the block-entry trace.
 
-    ``code`` is decoded once into a per-PC table that the loop runs on.
-    Halts on STOP/RETURN/REVERT/INVALID or when execution runs off the end
-    of the code (implicit STOP).  Raises StepLimitExceeded after
-    ``step_limit`` instructions, UnsupportedOpcode outside the subset, and
-    EvmFault on stack violations or invalid jumps.
+    ``code`` is disassembled once and the loop runs on that instruction
+    list by index.  A block entry is recorded where execution can enter
+    one: offset 0, every executed JUMPDEST, and the instruction after a
+    JUMPI that falls through.  Halts on STOP/RETURN/REVERT/INVALID or when
+    execution runs off the end of the code (implicit STOP).  Raises
+    StepLimitExceeded after ``step_limit`` instructions, UnsupportedOpcode
+    outside the subset, and EvmFault on stack violations or invalid jumps.
     """
-    table, jumpdests = _decode(disassemble(code))
-    size = len(table)
+    instrs = disassemble(code)
+    n = len(instrs)
+    # JUMPDEST offset -> instruction index.  Built from instructions, so a
+    # 0x5b byte inside PUSH data is no target.
+    jumpdests = {ins[0]: i for i, ins in enumerate(instrs) if ins[1] is _JUMPDEST}
     env = dict(env or {})
     storage = dict(storage or {})
     memory: dict[int, int] = {}
     stack: list[int] = []
     push, pop = stack.append, stack.pop
-    trace: list[int] = []
+    # A JUMPDEST at offset 0 records itself when it executes.
+    trace: list[int] = [0] if n and 0 not in jumpdests else []
+    entries = _ENTRIES
     steps = 0
-    pc = 0
+    i = 0
     try:
-        while pc < size:
-            kind, arg, next_pc, leader = table[pc]
-            if leader:
-                trace.append(pc)
+        while i < n:
+            pc, op, immediate = instrs[i]
+            kind, arg = entries[op.code]
             steps += 1
             if steps > step_limit:
                 raise StepLimitExceeded(f"no halt within {step_limit} steps")
+            i += 1
             if kind == "push":
-                push(arg)
+                push(immediate)
+                if len(stack) > 1024:
+                    raise EvmFault("stack overflow")
             elif kind == "dup":
                 push(stack[-arg])
+                if len(stack) > 1024:
+                    raise EvmFault("stack overflow")
             elif kind == "swap":
                 stack[-1], stack[-1 - arg] = stack[-1 - arg], stack[-1]
             elif kind == "op2":
                 push(arg(pop(), pop()))
-            elif kind == "nop":
-                pass
+            elif kind == "jumpdest":
+                trace.append(pc)
             elif kind == "jump":
-                next_pc = pop()
-                if next_pc not in jumpdests:
-                    raise EvmFault(f"invalid jump target {next_pc}")
+                dest = pop()
+                i = jumpdests.get(dest)
+                if i is None:
+                    raise EvmFault(f"invalid jump target {dest}")
             elif kind == "jumpi":
                 dest, cond = pop(), pop()
                 if cond != 0:
-                    if dest not in jumpdests:
+                    i = jumpdests.get(dest)
+                    if i is None:
                         raise EvmFault(f"invalid jump target {dest}")
-                    next_pc = dest
+                elif i < n and pc + 1 not in jumpdests:
+                    # JUMPI is one byte; a JUMPDEST there records itself.
+                    trace.append(pc + 1)
             elif kind == "pop":
                 pop()
             elif kind == "mload":
@@ -149,8 +142,16 @@ def run_evm(
                 push(int.from_bytes(word.ljust(32, b"\0"), "big"))
             elif kind == "env":
                 push(env.get(arg, 0) & WORD)
+                if len(stack) > 1024:
+                    raise EvmFault("stack overflow")
             elif kind == "calldatasize":
                 push(len(calldata))
+                if len(stack) > 1024:
+                    raise EvmFault("stack overflow")
+            elif kind == "pc":
+                push(pc)
+                if len(stack) > 1024:
+                    raise EvmFault("stack overflow")
             elif kind == "stop":
                 break
             elif kind == "return":
@@ -158,21 +159,19 @@ def run_evm(
                 break
             else:
                 raise UnsupportedOpcode(arg)
-            if len(stack) > 1024:
-                raise EvmFault("stack overflow")
-            pc = next_pc
+        else:
+            pc = len(code)  # ran off the end: the implicit STOP
     except IndexError:
         # Every IndexError in the loop comes from the stack: a pop, DUP or
-        # SWAP below its bottom.
+        # SWAP below its bottom.  Instruction indices are bounds-checked.
         raise EvmFault("stack underflow") from None
     state = MachineState(stack, memory, storage, calldata, env, halted=True, pc=pc)
     return state, trace
 
 
-def _entry(op: Opcode) -> tuple[str, object, int]:
-    """Table kind, argument and byte width of ``op``.  PUSH takes its
-    argument from the immediate and PC ("pc") from the offset, per
-    instruction."""
+def _entry(op: Opcode) -> tuple[str, object]:
+    """Kind and argument of ``op``.  PUSH pushes its instruction's
+    immediate and PC its offset, so neither has an argument."""
     name = op.mnemonic
     arg = None
     if op.is_push:
@@ -194,8 +193,10 @@ def _entry(op: Opcode) -> tuple[str, object, int]:
         kind = _KINDS.get(name)
         if kind is None:
             kind, arg = "unsupported", name
-    return kind, arg, 1 + op.immediate_len
+    return kind, arg
 
 
-# Opcode byte -> table entry, built once so decoding reads no Opcode property.
+# Opcode byte -> (kind, argument), built once so the loop reads no Opcode
+# property.
 _ENTRIES = [_entry(for_byte(b)) for b in range(256)]
+_JUMPDEST = for_byte(0x5B)

@@ -224,6 +224,8 @@ def _layout_from_params(rest, lmap, md_offsets, parser, at) -> VarLayout:
     named = tuple(rest[pos:])
     if any(n.startswith(("s", "g", "l", "md")) and n[-1].isdigit() for n in named):
         raise parser.fail("parameters in canonical order", at)
+    if len(set(named)) != len(named):
+        raise parser.fail("distinct parameter names", at)
     if lmap:
         if sorted(lmap.values()) != list(range(locals_)):
             raise parser.fail("lmap header matching l parameters", at)

@@ -367,15 +367,10 @@ def _translate_jumpi(block, layout, state, body, nops) -> list[Rule]:
     if window is None:
         state.m -= 1  # branch target came from the stack: drop it
 
-    try:
-        if window is None:
-            raise UnsupportedGuard("branch target not pushed in block")
+    if window:
         taken_guard, fall_guard = tau_G(window, state)
-    except UnsupportedGuard:
+    else:
         # Condition is a plain value: guard directly on it being nonzero.
-        if window:
-            for ins in window:
-                body.extend(tau(ins, state, layout))
         if state.m < 0:
             raise StackUnderflow(block.id, instrs[last].offset)
         taken_guard = Guard("neq", Var(_s(state.m)), Num(0))

@@ -1,12 +1,16 @@
 """Concrete interpreter fixtures (hand-evaluated, then locked)."""
 
+import hashlib
+import random
+
 import pytest
 
-from corpus import ADD_STORE, COUNTER_LOOP, TWO_CALLER_CLONE
+from corpus import ADD_STORE, CORPUS, COUNTER_LOOP, TWO_CALLER_CLONE
+from progen import gen_program
 
-from evmrbr.asm import disassemble
-from evmrbr.errors import EvmFault, StepLimitExceeded, UnsupportedOpcode
-from evmrbr.evm_exec import _decode, run_evm
+from evmrbr.diff import _ENV_NAMES, INPUT_BOUND
+from evmrbr.errors import EvmFault, EvmRbrError, StepLimitExceeded, UnsupportedOpcode
+from evmrbr.evm_exec import run_evm
 
 
 def test_add_store_program():
@@ -103,6 +107,16 @@ def test_stack_overflow_faults():
         run_evm(bytes.fromhex("6000") * 1025)
 
 
+# PUSH1, DUP1, GAS, CALLDATASIZE and PC: each kind of opcode that grows the stack.
+@pytest.mark.parametrize("grow", ["6000", "80", "5a", "36", "58"])
+def test_each_pushing_opcode_checks_overflow(grow):
+    code = bytes.fromhex("6000" + grow * 1023)
+    state, _ = run_evm(code)
+    assert len(state.stack) == 1024
+    with pytest.raises(EvmFault, match="^stack overflow$"):
+        run_evm(code + bytes.fromhex(grow))
+
+
 def test_unsupported_opcode():
     with pytest.raises(UnsupportedOpcode):
         run_evm(bytes.fromhex("6000600020"))  # SHA3
@@ -158,11 +172,28 @@ def test_step_limit_counts_every_instruction():
     assert (state.pc, state.stack) == (5, [3])
 
 
-def test_decoded_table_has_one_entry_per_instruction():
-    table, jumpdests = _decode(disassemble(bytes.fromhex("6003565b00")))
-    assert table == [("push", 3, 2, True), None, ("jump", None, 3, False),
-                     ("nop", None, 4, True), ("stop", None, 5, False)]
-    assert jumpdests == {3}
+@pytest.mark.parametrize("hexstr, target", [
+    ("600456605b00", 4),  # PUSH1 4, JUMP, PUSH1 0x5b, STOP
+    ("6001600657605b00", 6),  # PUSH1 1, PUSH1 6, JUMPI, PUSH1 0x5b, STOP
+])
+def test_jumpdest_byte_inside_push_data_is_no_target(hexstr, target):
+    with pytest.raises(EvmFault, match=f"^invalid jump target {target}$"):
+        run_evm(bytes.fromhex(hexstr))
+
+
+def test_jumpi_falling_through_onto_a_jumpdest_records_it_once():
+    # PUSH1 0, PUSH1 5, JUMPI (not taken), JUMPDEST, STOP
+    state, trace = run_evm(bytes.fromhex("60006005575b00"))
+    assert (trace, state.pc) == ([0, 5], 6)
+
+
+def test_loop_head_at_offset_zero_is_recorded_on_every_entry():
+    # 0: JUMPDEST; c = SLOAD(0); JUMPI to 19 if c == 0;
+    # 9: SSTORE(0, c - 1); JUMP 0; 19: JUMPDEST, STOP
+    code = bytes.fromhex("5b600054801560135760019003600055600056" "5b00")
+    state, trace = run_evm(code, storage={0: 3})
+    assert trace == [0, 9] * 3 + [0, 19]
+    assert (state.storage, state.stack, state.pc) == ({0: 0}, [0], 20)
 
 
 def test_three_operand_arithmetic():
@@ -171,3 +202,92 @@ def test_three_operand_arithmetic():
     assert state.storage == {0: 3, 1: 1}
     with pytest.raises(EvmFault, match="stack underflow"):
         run_evm(bytes.fromhex("6001600208"))
+
+
+# --- runs pinned before the oracle moved off its per-PC decode table ---
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _run_text(code: bytes, rng: random.Random) -> str:
+    """One run of ``code`` on calldata, environment and storage drawn from
+    ``rng``: its trace, storage, memory, stack and pc, or its error."""
+    calldata = rng.randbytes(rng.choice((0, 4, 36, 128)))
+    env = {name: rng.randrange(INPUT_BOUND) for name in _ENV_NAMES}
+    storage = {i: rng.randrange(INPUT_BOUND) for i in range(6)}
+    try:
+        state, trace = run_evm(code, calldata, env, step_limit=20_000, storage=storage)
+    except EvmRbrError as err:
+        return f"{type(err).__name__}: {err}"
+    return repr((trace, sorted(state.storage.items()), sorted(state.memory.items()),
+                 state.stack, state.pc))
+
+
+def _pinned_runs(code: bytes, seed: int) -> list[str]:
+    """Five runs of ``code``, then one run of each of 25 mutants of it, each
+    overwriting 1-3 bytes."""
+    rng = random.Random(seed)
+    runs = [_run_text(code, rng) for _ in range(5)]
+    for _ in range(25):
+        mutant = bytearray(code)
+        for _ in range(rng.randint(1, 3)):
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        runs.append(_run_text(bytes(mutant), rng))
+    return runs
+
+
+def _pinned_programs() -> dict[str, tuple[bytes, int]]:
+    """Program and seed of each pin: the corpus on seed 17, and 12-segment
+    programs of five progen seeds on the program's seed."""
+    programs = {name: (code, 17) for name, code in CORPUS.items()}
+    for seed in (3, 11, 29, 47, 83):
+        programs[f"progen_{seed}"] = (gen_program(random.Random(seed), 12), seed)
+    return programs
+
+
+# Digests of _pinned_runs on each of _pinned_programs.
+_PINNED_ORACLE_RUNS = {
+    "add_store": "c1bd64bd6c13f4c2",
+    "bitops": "6a418b9dcbc27568",
+    "calldata_env": "0b1d9490f0cf1eae",
+    "counter_loop": "386f1ac8b8a15115",
+    "dispatcher": "5ed1533bb182f2e1",
+    "iszero_chain": "cd788f599cf52edc",
+    "jumpi_const": "84d36e3a9d7ed6fa",
+    "memory_shuffle": "fd2ec9b9dbd4e97a",
+    "not_store": "5fada449e94acc75",
+    "progen_11": "3e9bdbd039232080",
+    "progen_29": "c7296f850ad5ba13",
+    "progen_3": "8a0846ef0d019fc1",
+    "progen_47": "32e8983ab9b612ad",
+    "progen_83": "94196fc057464f38",
+    "six_loops": "30e4a004c6687752",
+    "two_block_jump": "12b1c02be961044a",
+    "two_caller_clone": "0b638e7cdc7d58e8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ORACLE_RUNS))
+def test_oracle_runs_are_pinned(name):
+    code, seed = _pinned_programs()[name]
+    assert _digest("\n".join(_pinned_runs(code, seed))) == _PINNED_ORACLE_RUNS[name]
+
+
+def _outcome(run: str) -> str:
+    """``halt``, the fault without its operand, or the error type."""
+    if run.startswith("("):
+        return "halt"
+    kind, message = run.split(": ", 1)
+    return message.rstrip("0123456789 ") if kind == "EvmFault" else kind
+
+
+def test_pinned_runs_reach_every_outcome():
+    outcomes = {
+        _outcome(run)
+        for code, seed in _pinned_programs().values()
+        for run in _pinned_runs(code, seed)
+    }
+    assert outcomes == {"halt", "invalid jump target", "stack underflow", "stack overflow",
+                        "StepLimitExceeded", "UnsupportedOpcode", "TruncatedPush"}

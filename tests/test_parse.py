@@ -148,6 +148,8 @@ def test_parse_accepts_comments_anywhere():
         ("block_0(g0) => s0 = 1\n\nblock_1(g0, g1) => s0 = 2", 3, 1,
          "parameters consistent across rules"),
         ("block_0(g0, s0) => s0 = 1", 1, 1, "parameters in canonical order"),
+        ("block_0(gas, gas) =>\n  s0 = gas", 1, 1, "distinct parameter names"),
+        ("\nblock_0(md0, gas, caller, gas) => s0 = 1", 2, 1, "distinct parameter names"),
         ("-- lmap: 64 -> l0\nblock_0() => s0 = 1", 2, 1, "lmap header matching l parameters"),
         ("jump_0(s0) => gte(s0, 0) | call(block_1())", 1, 15, "one of eq/neq/lt/leq/gt/geq"),
         ("jump_4(s0) => eq(s0, 0) call(block_9(s0))", 1, 25, "'|'"),
