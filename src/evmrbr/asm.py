@@ -45,20 +45,17 @@ def parse_hex(text: str) -> bytes:
     digit count or any other character is rejected.
     """
     digits = []
-    positions = []
-    body = text
     start = 0
     stripped = text.lstrip()
     if stripped[:2] in ("0x", "0X"):
         start = len(text) - len(stripped) + 2
-    for pos in range(start, len(body)):
-        ch = body[pos]
+    for pos in range(start, len(text)):
+        ch = text[pos]
         if ch in " \t\r\n\f\v":
             continue
         if ch not in "0123456789abcdefABCDEF":
             raise NonHexCharacter(pos, ch)
         digits.append(ch)
-        positions.append(pos)
     if len(digits) % 2 != 0:
         raise OddDigitCount()
     return bytes.fromhex("".join(digits))

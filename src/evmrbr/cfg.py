@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .asm import Instruction
-from .opcodes import BY_NAME, WORD_OPS, Opcode, for_byte
+from .opcodes import BY_NAME, KINDS, for_byte
 
 # Abstract value: a known 256-bit constant, or None for "anything".
 AbstractValue = Optional[int]
@@ -85,6 +85,13 @@ class Block:
 
 @dataclass
 class Cfg:
+    """Resolved blocks by id, the entry id, and the unresolved jumps.
+
+    Each ``unresolved`` record is (block id, reason), except that a
+    clone-cap record names the refused pc, which need not be an id in
+    ``blocks``: a block cloned to the cap has ids ``<pc>_c0`` onwards.
+    """
+
     blocks: dict[str, Block]
     entry: str | None
     unresolved: list[tuple[str, str]] = field(default_factory=list)
@@ -151,45 +158,30 @@ def _make_block(group: list[Instruction]) -> Block:
     return Block(id=str(start), start_pc=start, instrs=group, terminator=term)
 
 
-def _effect(op: Opcode) -> tuple[str, int, object]:
-    """Abstract-stack kind, operand count and argument of ``op``.
-
-    The argument is the N of DUPN/SWAPN, the fold function of a word
-    operation, or for every other opcode the tuple of unknowns it pushes.
-    """
-    name = op.mnemonic
-    if op.is_push:
-        return "push", 0, None
-    if op.is_dup:
-        return "dup", op.delta, op.pair_index
-    if op.is_swap:
-        return "swap", op.delta, op.pair_index
-    if name == "PC":
-        return "pc", 0, None
-    if name in ("JUMP", "JUMPI"):
-        return name.lower(), op.delta, None
-    if name in WORD_OPS:
-        return "fold", op.delta, WORD_OPS[name][0]
-    return "opaque", op.delta, (None,) * op.alpha
-
-
-# Opcode byte -> abstract effect, and whether the opcode ends a block;
-# built once so the per-instruction passes read no Opcode property.
-_EFFECTS = [_effect(for_byte(b)) for b in range(256)]
+# Opcode byte -> abstract-stack kind, operand count and argument: the N of
+# DUPN/SWAPN, the fold function of a word operation, or for every opcode
+# the resolver does not track the tuple of unknowns it pushes.  This and
+# whether the opcode ends a block are built once, so the per-instruction
+# passes read no Opcode property.
+_EFFECTS = [
+    ("fold", op.delta, arg) if kind == "word"
+    else (kind, op.delta, arg) if kind in ("push", "pc", "dup", "swap", "jump", "jumpi")
+    else ("opaque", op.delta, (None,) * op.alpha)
+    for op, (kind, arg) in zip(map(for_byte, range(256)), KINDS)
+]
 _ENDS_BLOCK = [for_byte(b).is_terminator for b in range(256)]
 
 
 class _Variant:
     """One context-specialized copy of an original block."""
 
-    __slots__ = ("pc", "index", "entry", "consts", "exit", "cont", "fault", "succ")
+    __slots__ = ("pc", "index", "entry", "consts", "cont", "fault", "succ")
 
     def __init__(self, pc: int, index: int, entry: tuple[AbstractValue, ...]):
         self.pc = pc
         self.index = index
         self.entry = entry
         self.consts: list[tuple[AbstractValue, ...]] = []
-        self.exit: tuple[AbstractValue, ...] = ()
         # cont: ("jump", pc) | ("jumpi", pc, pc) | ("jumpi-unres", reason, pc)
         #     | ("fall", pc) | ("halt",) | ("halt-unres", reason) | ("fault", reason)
         self.cont: tuple = ("halt",)
@@ -331,11 +323,8 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
                 pred[0].succ[pred[1]] = (pc, var.index)
 
         var.consts = consts
-        var.exit = exit_stack
         var.cont = cont
-        if cont[0] in ("halt-unres",):
-            unresolved.append(((pc, var.index), cont[1]))
-        if cont[0] == "jumpi-unres":
+        if cont[0] in ("halt-unres", "jumpi-unres"):
             unresolved.append(((pc, var.index), cont[1]))
 
         if cont[0] == "jump":

@@ -18,7 +18,7 @@ from .asm import disassemble
 from .cfg import Cfg, FallThrough, Jump, JumpI, id_sort_key, resolve_cfg, split_blocks
 from .errors import EvmRbrError
 from .evm_exec import run_evm
-from .opcodes import BLOCKCHAIN_READS
+from .opcodes import KINDS
 from .rbr import Rule, rule_sort_key
 from .rbr_exec import index_rules, run_rbr
 from .translate import translate_cfg
@@ -30,7 +30,7 @@ INPUT_BOUND = 1 << 16
 CALLDATA_OFFSET_BOUND = 1 << 24
 
 # Environment quantities drawn per case, in the order they are drawn.
-_ENV_NAMES = tuple(sorted(key for name, key in BLOCKCHAIN_READS.items() if name != "CALLDATASIZE"))
+_ENV_NAMES = tuple(sorted(arg for kind, arg in KINDS if kind == "env"))
 
 
 @dataclass

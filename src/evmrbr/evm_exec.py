@@ -16,27 +16,7 @@ from dataclasses import dataclass, field
 
 from .asm import disassemble
 from .errors import EvmFault, StepLimitExceeded, UnsupportedOpcode
-from .opcodes import BLOCKCHAIN_READS, WORD, WORD_OPS, Opcode, for_byte
-
-# Opcodes pushing one environment quantity, and the key it is read from.
-_ENV_READS = {name: key for name, key in BLOCKCHAIN_READS.items() if name != "CALLDATASIZE"}
-
-# Mnemonic -> kind, for opcodes whose kind needs no argument.
-_KINDS = {
-    "POP": "pop",
-    "JUMPDEST": "jumpdest",
-    "JUMP": "jump",
-    "JUMPI": "jumpi",
-    "STOP": "stop",
-    "RETURN": "return",
-    "REVERT": "return",
-    "CALLDATASIZE": "calldatasize",
-    "CALLDATALOAD": "calldataload",
-    "MLOAD": "mload",
-    "MSTORE": "mstore",
-    "SLOAD": "sload",
-    "SSTORE": "sstore",
-}
+from .opcodes import KINDS, WORD, for_byte
 
 
 @dataclass
@@ -169,34 +149,15 @@ def run_evm(
     return state, trace
 
 
-def _entry(op: Opcode) -> tuple[str, object]:
-    """Kind and argument of ``op``.  PUSH pushes its instruction's
-    immediate and PC its offset, so neither has an argument."""
-    name = op.mnemonic
-    arg = None
-    if op.is_push:
-        kind = "push"
-    elif name == "PC":
-        kind = "pc"
-    elif op.is_dup:
-        kind, arg = "dup", op.pair_index
-    elif op.is_swap:
-        kind, arg = "swap", op.pair_index
-    elif name in WORD_OPS:
-        arg, arity = WORD_OPS[name]
-        kind = ("op1", "op2", "op3")[arity - 1]
-    elif name in _ENV_READS:
-        kind, arg = "env", _ENV_READS[name]
-    elif op.is_invalid_class:
-        kind = "stop"
-    else:
-        kind = _KINDS.get(name)
-        if kind is None:
-            kind, arg = "unsupported", name
-    return kind, arg
-
-
-# Opcode byte -> (kind, argument), built once so the loop reads no Opcode
-# property.
-_ENTRIES = [_entry(for_byte(b)) for b in range(256)]
+# Opcode byte -> (kind, argument) of the loop, built once so the loop reads
+# no Opcode property.  It is the table's, except that a word operation is
+# op1/op2/op3 by arity, a halt is a stop or (RETURN, REVERT) a return, and
+# the kinds outside the subset are unsupported, naming the mnemonic.
+_ENTRIES = [
+    (f"op{op.delta}", arg) if kind == "word"
+    else ("return" if op.delta else "stop", None) if kind == "halt"
+    else ("unsupported", op.mnemonic) if kind in ("memcopy", "opaque")
+    else (kind, arg)
+    for op, (kind, arg) in zip(map(for_byte, range(256)), KINDS)
+]
 _JUMPDEST = for_byte(0x5B)

@@ -181,7 +181,8 @@ def for_byte(b: int) -> Opcode:
 
 # Opcodes reading one quantity of the transaction or chain environment,
 # mapped to the variable name under which that quantity is threaded
-# through the rules.
+# through the rules.  CALLDATASIZE is threaded too, but has a kind of its
+# own in KINDS: its value is the calldata's size.
 BLOCKCHAIN_READS: dict[str, str] = {
     "GAS": "gas",
     "NUMBER": "number",
@@ -190,7 +191,6 @@ BLOCKCHAIN_READS: dict[str, str] = {
     "CALLVALUE": "callvalue",
     "ADDRESS": "address",
     "ORIGIN": "origin",
-    "CALLDATASIZE": "calldatasize",
     "GASPRICE": "gasprice",
     "COINBASE": "coinbase",
     "DIFFICULTY": "difficulty",
@@ -230,34 +230,87 @@ def _signextend(b: int, x: int) -> int:
     return x | (WORD ^ low) if x & (1 << bit) else x & low
 
 
-# The word operations: mnemonic -> (function over the popped operands, top
-# of stack first, arity).  Operands are 256-bit words and so is every
-# result, wrapped as the machine wraps it.  The resolver folds constants
-# with these and the concrete interpreter executes them.
-WORD_OPS: dict[str, tuple[Callable[..., int], int]] = {
-    "ADD": (lambda a, b: (a + b) & WORD, 2),
-    "MUL": (lambda a, b: (a * b) & WORD, 2),
-    "SUB": (lambda a, b: (a - b) & WORD, 2),
-    "DIV": (lambda a, b: a // b if b else 0, 2),
-    "SDIV": (_sdiv, 2),
-    "MOD": (lambda a, b: a % b if b else 0, 2),
-    "SMOD": (_smod, 2),
-    "ADDMOD": (lambda a, b, n: (a + b) % n if n else 0, 3),
-    "MULMOD": (lambda a, b, n: (a * b) % n if n else 0, 3),
-    "EXP": (lambda a, b: pow(a, b, 1 << 256), 2),
-    "SIGNEXTEND": (_signextend, 2),
-    "LT": (lambda a, b: int(a < b), 2),
-    "GT": (lambda a, b: int(a > b), 2),
-    "SLT": (lambda a, b: int(_to_signed(a) < _to_signed(b)), 2),
-    "SGT": (lambda a, b: int(_to_signed(a) > _to_signed(b)), 2),
-    "EQ": (lambda a, b: int(a == b), 2),
-    "ISZERO": (lambda a: int(a == 0), 1),
-    "AND": (lambda a, b: a & b, 2),
-    "OR": (lambda a, b: a | b, 2),
-    "XOR": (lambda a, b: a ^ b, 2),
-    "NOT": (lambda a: a ^ WORD, 1),
-    "BYTE": (lambda i, x: (x >> (8 * (31 - i))) & 0xFF if i < 32 else 0, 2),
-    "SHL": (lambda a, b: (b << a) & WORD if a < 256 else 0, 2),
-    "SHR": (lambda a, b: b >> a if a < 256 else 0, 2),
-    "SAR": (lambda a, b: (_to_signed(b) >> min(a, 255)) & WORD, 2),
+# The word operations: mnemonic -> function over the popped operands, top
+# of stack first; the opcode's ``delta`` is its arity.  Operands are
+# 256-bit words and so is every result, wrapped as the machine wraps it.
+# The resolver folds constants with these and the concrete interpreter
+# executes them.
+WORD_OPS: dict[str, Callable[..., int]] = {
+    "ADD": lambda a, b: (a + b) & WORD,
+    "MUL": lambda a, b: (a * b) & WORD,
+    "SUB": lambda a, b: (a - b) & WORD,
+    "DIV": lambda a, b: a // b if b else 0,
+    "SDIV": _sdiv,
+    "MOD": lambda a, b: a % b if b else 0,
+    "SMOD": _smod,
+    "ADDMOD": lambda a, b, n: (a + b) % n if n else 0,
+    "MULMOD": lambda a, b, n: (a * b) % n if n else 0,
+    "EXP": lambda a, b: pow(a, b, 1 << 256),
+    "SIGNEXTEND": _signextend,
+    "LT": lambda a, b: int(a < b),
+    "GT": lambda a, b: int(a > b),
+    "SLT": lambda a, b: int(_to_signed(a) < _to_signed(b)),
+    "SGT": lambda a, b: int(_to_signed(a) > _to_signed(b)),
+    "EQ": lambda a, b: int(a == b),
+    "ISZERO": lambda a: int(a == 0),
+    "AND": lambda a, b: a & b,
+    "OR": lambda a, b: a | b,
+    "XOR": lambda a, b: a ^ b,
+    "NOT": lambda a: a ^ WORD,
+    "BYTE": lambda i, x: (x >> (8 * (31 - i))) & 0xFF if i < 32 else 0,
+    "SHL": lambda a, b: (b << a) & WORD if a < 256 else 0,
+    "SHR": lambda a, b: b >> a if a < 256 else 0,
+    "SAR": lambda a, b: (_to_signed(b) >> min(a, 255)) & WORD,
 }
+
+
+# Copy-style memory writers: index of the (destination, length) operands;
+# a length of None is one byte.
+_MEMORY_COPIES = {
+    "CALLDATACOPY": (0, 2),
+    "CODECOPY": (0, 2),
+    "RETURNDATACOPY": (0, 2),
+    "EXTCODECOPY": (1, 3),
+    "MSTORE8": (0, None),
+}
+
+# Opcodes whose kind is their mnemonic in lower case, with no argument.
+_NAMED_KINDS = frozenset(
+    ("PC", "JUMPDEST", "JUMP", "JUMPI", "POP", "CALLDATALOAD", "MLOAD", "MSTORE", "SLOAD", "SSTORE")
+)
+
+
+def _kind(op: Opcode) -> tuple[str, object]:
+    name = op.mnemonic
+    if op.is_push:
+        return "push", None
+    if op.is_dup:
+        return "dup", op.pair_index
+    if op.is_swap:
+        return "swap", op.pair_index
+    if name in WORD_OPS:
+        return "word", WORD_OPS[name]
+    if name in BLOCKCHAIN_READS:
+        return "env", BLOCKCHAIN_READS[name]
+    if name == "CALLDATASIZE":
+        return "calldatasize", "calldatasize"
+    if name in _MEMORY_COPIES:
+        return "memcopy", _MEMORY_COPIES[name]
+    if name in _NAMED_KINDS:
+        return name.lower(), None
+    if name in ("STOP", "RETURN", "REVERT") or op.is_invalid_class:
+        return "halt", None
+    return "opaque", None
+
+
+# Opcode byte -> (kind, argument): the one classification of what an
+# instruction does.  The resolver, the translator and the concrete
+# interpreter each map the kinds to their own actions.  Arguments: the N of
+# dup and swap, the WORD_OPS function of word (its arity is ``delta``), the
+# threaded name of env and of calldatasize (whose value is the calldata's
+# size), and the (destination, length) operand indices of memcopy.  halt is
+# STOP, RETURN, REVERT and the INVALID class; opaque is every effect outside
+# the model: hashing, calls, logs, SELFDESTRUCT.  The other kinds, push, pc,
+# jumpdest, jump, jumpi, pop, calldataload, mload, mstore, sload and
+# sstore, take no argument.
+KINDS: list[tuple[str, object]] = [_kind(for_byte(b)) for b in range(256)]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .cfg import Block, Cfg, FallThrough, Jump, JumpI, id_sort_key
 from .errors import EvmRbrError, StackUnderflow
-from .opcodes import BLOCKCHAIN_READS
+from .opcodes import KINDS
 from .rbr import (
     Assign,
     BinOp,
@@ -59,14 +59,6 @@ _BITOPS = {"AND": "and", "OR": "or", "XOR": "xor"}
 # taken branch.  Signed variants coincide with the unsigned relations on the
 # value ranges the rules are meant for.
 _CMP_GUARDS = {"GT": "gt", "LT": "lt", "EQ": "eq", "SGT": "gt", "SLT": "lt"}
-# Copy-style memory writers: index of the (destination, length) operands.
-_MEM_WRITERS = {
-    "CALLDATACOPY": (0, 2),
-    "CODECOPY": (0, 2),
-    "RETURNDATACOPY": (0, 2),
-    "EXTCODECOPY": (1, 3),
-    "MSTORE8": (0, None),
-}
 
 
 class UnsupportedGuard(EvmRbrError):
@@ -115,23 +107,23 @@ def build_layout(cfg: Cfg) -> VarLayout:
     named: set[str] = set()
     for block in cfg.live_blocks():
         for ins, popped in zip(block.instrs, block.const_operands or []):
-            name = ins.mnemonic
-            if name in ("MSTORE", "MLOAD"):
+            kind, arg = KINDS[ins.opcode.code]
+            if kind in ("mstore", "mload"):
                 addr = popped[0]
                 if addr is not None and addr not in lmap:
                     lmap[addr] = len(lmap)
-            elif name in ("SSTORE", "SLOAD"):
+            elif kind in ("sstore", "sload"):
                 key = popped[0]
                 if key is not None:
                     if key < FIELD_KEY_BOUND:
                         k = max(k, key)
                     else:
                         wide_keys.add(key)
-            elif name == "CALLDATALOAD":
+            elif kind == "calldataload":
                 if popped[0] is not None:
                     md.add(popped[0])
-            elif name in BLOCKCHAIN_READS:
-                named.add(BLOCKCHAIN_READS[name])
+            elif kind in ("env", "calldatasize"):
+                named.add(arg)
     if wide_keys:
         log.warning(
             "%d constant storage key(s) at or above %d translated as non-constant",
@@ -158,23 +150,21 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
     popped = state.consts.get(instr.offset, (None,) * op.delta)
 
     stmts: list[Statement] = [Nop(name)] if state.nops else []
-    if name == "JUMPDEST":
-        pass
-    elif op.is_push:
+    kind, arg = KINDS[op.code]
+    if kind == "push":
         stmts.append(Assign(_s(m + 1), Num(instr.immediate)))
         state.m += 1
-    elif name == "PC":
+    elif kind == "pc":
         stmts.append(Assign(_s(m + 1), Num(instr.offset)))
         state.m += 1
-    elif op.is_dup:
-        stmts.append(Assign(_s(m + 1), Var(_s(m + 1 - op.pair_index))))
+    elif kind == "dup":
+        stmts.append(Assign(_s(m + 1), Var(_s(m + 1 - arg))))
         state.m += 1
-    elif op.is_swap:
-        n = op.pair_index
+    elif kind == "swap":
         stmts += [
             Assign(_s(m + 1), Var(_s(m))),
-            Assign(_s(m), Var(_s(m - n))),
-            Assign(_s(m - n), Var(_s(m + 1))),
+            Assign(_s(m), Var(_s(m - arg))),
+            Assign(_s(m - arg), Var(_s(m + 1))),
         ]
     elif name in _BINOPS:
         stmts.append(Assign(_s(m - 1), BinOp(_BINOPS[name], Var(_s(m)), Var(_s(m - 1)))))
@@ -184,49 +174,50 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
         state.m -= 1
     elif name == "NOT":
         stmts.append(Assign(_s(m), Not(Var(_s(m)))))
-    elif name == "POP":
+    elif kind == "pop":
         state.m -= 1
-    elif name == "SLOAD":
+    elif kind == "sload":
         key = popped[0]
         if key is not None and key <= layout.k:
             stmts.append(Assign(_s(m), Var(f"g{key}")))
         else:
             stmts += [Assign("gl", Var(_s(m))), Assign(_s(m), state.fresh())]
-    elif name == "MLOAD":
+    elif kind == "mload":
         addr = popped[0]
         if addr is not None and addr in layout.lmap:
             stmts.append(Assign(_s(m), Var(f"l{layout.lmap[addr]}")))
         else:
             stmts += [Assign("ll", Var(_s(m))), Assign(_s(m), state.fresh())]
-    elif name == "SSTORE":
+    elif kind == "sstore":
         key = popped[0]
         if key is not None and key <= layout.k:
             stmts.append(Assign(f"g{key}", Var(_s(m - 1))))
         else:
             stmts += [Assign("gs1", Var(_s(m - 1))), Assign("gs2", Var(_s(m)))]
         state.m -= 2
-    elif name == "MSTORE":
+    elif kind == "mstore":
         addr = popped[0]
         if addr is not None and addr in layout.lmap:
             stmts.append(Assign(f"l{layout.lmap[addr]}", Var(_s(m - 1))))
         else:
             stmts += [Assign("ls1", Var(_s(m - 1))), Assign("ls2", Var(_s(m)))]
         state.m -= 2
-    elif name == "CALLDATALOAD":
+    elif kind == "calldataload":
         offset = popped[0]
         if offset is not None and offset in layout.md_offsets:
             idx = layout.md_offsets.index(offset)
             stmts.append(Assign(_s(m), Var(f"md{idx}")))
         else:
             stmts.append(Assign(_s(m), state.fresh()))
-    elif name in BLOCKCHAIN_READS:
-        stmts.append(Assign(_s(m + 1), Var(BLOCKCHAIN_READS[name])))
+    elif kind in ("env", "calldatasize"):
+        stmts.append(Assign(_s(m + 1), Var(arg)))
         state.m += 1
-    elif name in _MEM_WRITERS:
-        stmts += _havoc_memory(instr, popped, state, layout)
+    elif kind == "memcopy":
+        stmts += _havoc_memory(instr, popped, arg, state, layout)
         state.m -= op.delta
     else:
-        # Opaque effect: consume the operands, produce unknown results.
+        # Opaque effect (none for JUMPDEST): consume the operands, produce
+        # unknown results.
         state.m -= op.delta
         for _ in range(op.alpha):
             state.m += 1
@@ -234,9 +225,10 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
     return stmts
 
 
-def _havoc_memory(instr, popped, state: TranslationState, layout: VarLayout):
-    """Invalidate the local variables a copy-style write may touch."""
-    dest_idx, len_idx = _MEM_WRITERS[instr.mnemonic]
+def _havoc_memory(instr, popped, operands, state: TranslationState, layout: VarLayout):
+    """Invalidate the local variables a copy-style write may touch;
+    ``operands`` indexes its (destination, length) in ``popped``."""
+    dest_idx, len_idx = operands
     dest = popped[dest_idx]
     length = 1 if len_idx is None else popped[len_idx]
     if dest is None or length is None:

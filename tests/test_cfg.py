@@ -401,3 +401,62 @@ def test_one_instruction_stack_effect(byte):
     elif op.is_swap:
         n = op.pair_index
         assert (exit_stack[-1], exit_stack[-1 - n]) == (entry[-1 - n], entry[-1])
+
+
+# Programs whose clone cap refuses a successor of a resolved jump, so that
+# _build_cfg drops the edge: (code, clone cap, Cfg.unresolved, terminators
+# of the blocks that lost an edge).
+_DROPPED_EDGES = {
+    "branch target dropped": (
+        "5b60016000356000570000",
+        4,
+        [("0", "clone cap 4 exceeded"), ("0_c3", "branch target dropped")],
+        {"0_c3": FallThrough("9_c3")},
+    ),
+    "branch targets dropped": (
+        "600035600f575b60016000356006575b00",
+        32,
+        [
+            ("6", "clone cap 32 exceeded"),
+            ("15", "clone cap 32 exceeded"),
+            ("6_c31", "branch targets dropped"),
+        ],
+        {"6_c31": Halt()},
+    ),
+    "fall target dropped": (
+        "6000356012575b60016000356006576000505b00",
+        32,
+        [
+            ("6", "clone cap 32 exceeded"),
+            ("18", "clone cap 32 exceeded"),
+            ("6_c31", "branch target dropped"),
+            ("15_c31", "fall target dropped"),
+        ],
+        {"6_c31": FallThrough("15_c31"), "15_c31": Halt()},
+    ),
+    "jump target dropped": (
+        "5b6001600035600057600056",
+        32,
+        [
+            ("0", "clone cap 32 exceeded"),
+            ("0_c31", "branch target dropped"),
+            ("9_c31", "jump target dropped"),
+        ],
+        {"0_c31": FallThrough("9_c31"), "9_c31": Halt()},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DROPPED_EDGES))
+def test_clone_cap_drops_resolved_edges(name):
+    code, cap, unresolved, terminators = _DROPPED_EDGES[name]
+    cfg = cfg_of(bytes.fromhex(code), clone_cap=cap)
+    assert cfg.unresolved == unresolved
+    assert {bid: cfg.blocks[bid].terminator for bid in terminators} == terminators
+
+
+def test_clone_cap_record_names_the_refused_pc():
+    cfg = cfg_of(bytes.fromhex("5b60016000356000570000"), clone_cap=4)
+    assert cfg.unresolved[0] == ("0", "clone cap 4 exceeded")
+    assert "0" not in cfg.blocks
+    assert [bid for bid in cfg.blocks if bid.startswith("0")] == ["0_c0", "0_c1", "0_c2", "0_c3"]
