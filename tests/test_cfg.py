@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from evmrbr.cfg import (
     resolve_cfg,
     split_blocks,
 )
+from evmrbr.errors import TruncatedPush
 from evmrbr.evm_exec import run_evm
 from evmrbr.opcodes import for_byte
 
@@ -311,7 +313,7 @@ def _subroutine_calls() -> bytes:
 
 # Programs whose disassembly and resolved CFG are pinned below: the corpus,
 # five generated programs, cloned subroutines, and programs left with
-# unresolved jumps for seven of the reasons the resolver gives.
+# unresolved jumps for eight of the reasons the resolver gives.
 _PINNED_PROGRAMS = {
     **CORPUS,
     **{f"progen-{seed}": gen_program(random.Random(seed)) for seed in (3, 11, 29, 47, 83)},
@@ -323,10 +325,13 @@ _PINNED_PROGRAMS = {
     "unknown-target": bytes.fromhex("60003556"),
     "branch-off-code-end": bytes.fromhex("600035600057"),
     "pc-dup-swap-invalid": bytes.fromhex("5860090180905056fe5b6001600055000c"),
+    "target-lost-when-joining": bytes.fromhex("600260086007565b01565b6001600960075600"),
 }
 
 # (digest of the disassembly, digest of the resolved CFG), recorded before
-# Instruction became a tuple and _simulate ran on a per-opcode table.
+# Instruction became a tuple and _simulate ran on a per-opcode table;
+# target-lost-when-joining was recorded later, before the resolver kept its
+# unresolved-jump records in one pass.
 _PINNED_DIGESTS = {
     "add_store": ("ef6eff76e35e0109", "6a276df819af9495"),
     "bitops": ("f6416f283b02a3bc", "39730616963c13ae"),
@@ -350,6 +355,7 @@ _PINNED_DIGESTS = {
     "six_loops": ("ccf2fa5323e89024", "06a9816d7cba54bf"),
     "stack-underflow": ("e013494c762310d9", "1ca70fc160af9c9f"),
     "subroutine-clones": ("5c07ccdc0eff14a7", "ebe62361eb61f9f5"),
+    "target-lost-when-joining": ("d10b354c86ee4bec", "faac653e542978b1"),
     "two_block_jump": ("4315c059e020dbee", "08be8eda3565dd16"),
     "two_caller_clone": ("05ed566f521d2ef2", "dd41663486ee78cc"),
     "unknown-target": ("89074be14c15b463", "c9836ae7f3dafeb7"),
@@ -460,3 +466,91 @@ def test_clone_cap_record_names_the_refused_pc():
     assert cfg.unresolved[0] == ("0", "clone cap 4 exceeded")
     assert "0" not in cfg.blocks
     assert [bid for bid in cfg.blocks if bid.startswith("0")] == ["0_c0", "0_c1", "0_c2", "0_c3"]
+
+
+def _pinned_resolves(name: str, code: bytes) -> list:
+    """``code`` and the first 25 mutants of it that disassemble, each
+    overwriting 1-3 bytes (seeded by ``name``), each resolved at clone caps
+    1, 4 and 32."""
+    rng = random.Random(name)
+    listings = [disassemble(code)]
+    while len(listings) < 26:
+        mutant = bytearray(code)
+        for _ in range(rng.randint(1, 3)):
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        try:
+            listings.append(disassemble(bytes(mutant)))
+        except TruncatedPush:
+            pass
+    return [resolve_cfg(split_blocks(instrs), cap) for instrs in listings for cap in (1, 4, 32)]
+
+
+_RESOLVER_PROGRAMS = {
+    **_PINNED_PROGRAMS,
+    **{name: bytes.fromhex(code) for name, (code, *_) in _DROPPED_EDGES.items()},
+}
+
+# Digests of the _cfg_digest of each of _pinned_resolves on each of
+# _RESOLVER_PROGRAMS, recorded before the resolver kept its unresolved-jump
+# records in one pass.
+_PINNED_RESOLVES = {
+    "add_store": "4bce1e3f7d106018",
+    "bitops": "9ca0f4e6495d8edd",
+    "branch target dropped": "46169304c30824dc",
+    "branch targets dropped": "1856a31fceb88a88",
+    "branch-off-code-end": "8bc8e0123dbc4e48",
+    "calldata_env": "a399a5a1f6d9bd04",
+    "clone-cap": "c0fb986e2ddd12cd",
+    "counter_loop": "4eed0bc88146b5ff",
+    "dispatcher": "3c9093065ec7a5dc",
+    "fall target dropped": "7ac302d478b28674",
+    "iszero_chain": "b89ab6e254e73360",
+    "jump target dropped": "846664208b232f56",
+    "jumpi_const": "450330460704aac8",
+    "memory_shuffle": "0075a8a60388c009",
+    "not-a-block-start": "fad905e2e504e8ba",
+    "not-a-jumpdest": "c5ce591d9bf89e77",
+    "not_store": "5cf08faf07ec369f",
+    "pc-dup-swap-invalid": "88643a8f11ca584d",
+    "progen-11": "5b83aca59fe5a52f",
+    "progen-29": "13a45aaaa7c59c43",
+    "progen-3": "92e68949509bcbd7",
+    "progen-47": "f5590d5079596ea3",
+    "progen-83": "758f41e19a3bcd51",
+    "six_loops": "42cab38ff0938e16",
+    "stack-underflow": "64c9166ae68513fd",
+    "subroutine-clones": "430fb2aa9531c761",
+    "target-lost-when-joining": "b4de07b882b2509e",
+    "two_block_jump": "8e5a836e776e7ac9",
+    "two_caller_clone": "05ad40370a5f9d6a",
+    "unknown-target": "3d28e74427a203be",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RESOLVES))
+def test_resolver_runs_are_pinned(name):
+    cfgs = _pinned_resolves(name, _RESOLVER_PROGRAMS[name])
+    digest = hashlib.sha256("\n".join(map(_cfg_digest, cfgs)).encode()).hexdigest()[:16]
+    assert digest == _PINNED_RESOLVES[name]
+
+
+def test_pinned_resolves_reach_every_reason():
+    reasons = {
+        re.sub(r"\d+", "N", reason)
+        for name, code in _RESOLVER_PROGRAMS.items()
+        for cfg in _pinned_resolves(name, code)
+        for _, reason in cfg.unresolved
+    }
+    assert reasons == {
+        "jump target unknown",
+        "jump target N is not a block start",
+        "jump target N is not a JUMPDEST",
+        "fall target off code end",
+        "stack underflow at offset N",
+        "clone cap N exceeded",
+        "target lost when joining contexts",
+        "jump target dropped",
+        "branch target dropped",
+        "branch targets dropped",
+        "fall target dropped",
+    }
