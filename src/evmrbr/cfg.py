@@ -87,9 +87,11 @@ class Block:
 class Cfg:
     """Resolved blocks by id, the entry id, and the unresolved jumps.
 
-    Each ``unresolved`` record is (block id, reason), except that a
-    clone-cap record names the refused pc, which need not be an id in
-    ``blocks``: a block cloned to the cap has ids ``<pc>_c0`` onwards.
+    Each ``unresolved`` record is (block id, reason), in the order found,
+    with one of the 11 reasons listed in ``resolve_cfg``.  One id can carry
+    two records.  A clone-cap record names the refused pc, which need not
+    be an id in ``blocks``: a block cloned to the cap has ids ``<pc>_c0``
+    onwards.
     """
 
     blocks: dict[str, Block]
@@ -175,28 +177,23 @@ _ENDS_BLOCK = [for_byte(b).is_terminator for b in range(256)]
 class _Variant:
     """One context-specialized copy of an original block."""
 
-    __slots__ = ("pc", "index", "entry", "consts", "cont", "fault", "succ")
+    __slots__ = ("index", "entry", "consts", "cont", "succ")
 
-    def __init__(self, pc: int, index: int, entry: tuple[AbstractValue, ...]):
-        self.pc = pc
+    def __init__(self, index: int, entry: tuple[AbstractValue, ...]):
         self.index = index
         self.entry = entry
-        self.consts: list[tuple[AbstractValue, ...]] = []
+        # consts: per instruction, or None when the entry stack underflows.
+        self.consts: list[tuple[AbstractValue, ...]] | None = None
         # cont: ("jump", pc) | ("jumpi", pc, pc) | ("jumpi-unres", reason, pc)
         #     | ("fall", pc) | ("halt",) | ("halt-unres", reason) | ("fault", reason)
         self.cont: tuple = ("halt",)
-        self.fault: str | None = None
         self.succ: dict[str, tuple[int, int] | None] = {}
-
-
-def _join(a: AbstractValue, b: AbstractValue) -> AbstractValue:
-    return a if a == b else None
 
 
 def _join_stacks(
     a: tuple[AbstractValue, ...], b: tuple[AbstractValue, ...]
 ) -> tuple[AbstractValue, ...]:
-    return tuple(_join(x, y) for x, y in zip(a, b))
+    return tuple(x if x == y else None for x, y in zip(a, b))
 
 
 def _simulate(block: Block, entry: tuple[AbstractValue, ...]):
@@ -243,89 +240,97 @@ class _Underflow(Exception):
 def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
     """Resolve jump targets into a Cfg, cloning context-dependent blocks.
 
-    Never raises: jumps that cannot be resolved (unknown target, target not
-    a JUMPDEST, clone cap exceeded, abstract stack underflow) are listed in
-    ``Cfg.unresolved`` and the offending edge is dropped.
+    Never raises: a jump that cannot be resolved is listed in
+    ``Cfg.unresolved`` with its reason, and the offending edge is dropped.
+    The reasons are:
+
+    - ``jump target unknown``: the target is not a constant;
+    - ``jump target N is not a block start``;
+    - ``jump target N is not a JUMPDEST``;
+    - ``fall target off code end``: a JUMPI is the last instruction;
+    - ``stack underflow at offset N``: the block is dead in this context;
+    - ``target lost when joining contexts``: two entry stacks that resolved
+      alike no longer do once joined, so the block halts;
+    - ``clone cap N exceeded``: a block already has ``clone_cap`` variants,
+      so the edge into a new one is refused;
+    - ``jump target dropped``, ``branch target dropped``, ``branch targets
+      dropped`` and ``fall target dropped``: a resolved edge whose
+      successor the clone cap refused.
     """
     if not blocks:
         return Cfg(blocks={}, entry=None)
 
     by_pc = {b.start_pc: b for b in blocks}
     variants: dict[int, list[_Variant]] = {}
-    unresolved: list[tuple[tuple[int, int] | int, str]] = []
-    entry_pc = blocks[0].start_pc
+    # (variant key, or the refused pc for a clone-cap record; reason), in
+    # the order first found.
+    unresolved: dict[tuple[tuple[int, int] | str, str], None] = {}
 
-    def continuation(block: Block, exit_stack) -> tuple[tuple, tuple]:
-        """Map the block terminator to a resolved continuation plus the
-        exit stack handed to successors."""
+    def continuation(block: Block, entry: tuple) -> tuple:
+        """Simulate the block from ``entry``: (consts, the resolved
+        continuation, the exit stack handed to successors).  An entry stack
+        that underflows gives no consts and a ``fault`` continuation."""
+        try:
+            consts, exit_stack = _simulate(block, entry)
+        except _Underflow as uf:
+            return None, ("fault", f"stack underflow at offset {uf.offset}"), ()
         term = block.terminator
         if isinstance(term, Jump):
             target = exit_stack[-1] if exit_stack else None
             reason = _check_jump_target(by_pc, target)
             if reason:
-                return ("halt-unres", reason), exit_stack[:-1]
-            return ("jump", target), exit_stack[:-1]
+                return consts, ("halt-unres", reason), exit_stack[:-1]
+            return consts, ("jump", target), exit_stack[:-1]
         if isinstance(term, JumpI):
             target = exit_stack[-1] if exit_stack else None
             after = exit_stack[:-2]
             fall_pc = block.end_pc
             if fall_pc not in by_pc:
-                return ("halt-unres", "fall target off code end"), after
+                return consts, ("halt-unres", "fall target off code end"), after
             reason = _check_jump_target(by_pc, target)
             if reason:
-                return ("jumpi-unres", reason, fall_pc), after
-            return ("jumpi", target, fall_pc), after
+                return consts, ("jumpi-unres", reason, fall_pc), after
+            return consts, ("jumpi", target, fall_pc), after
         if isinstance(term, FallThrough):
             next_pc = block.end_pc
             if next_pc not in by_pc:
                 # Running off the end of code halts (implicit STOP).
-                return ("halt",), exit_stack
-            return ("fall", next_pc), exit_stack
-        return ("halt",), exit_stack
+                return consts, ("halt",), exit_stack
+            return consts, ("fall", next_pc), exit_stack
+        return consts, ("halt",), exit_stack
 
-    def process(pc: int, entry: tuple, pred) -> None:
+    def process(pc: int, entry: tuple, pred: tuple[_Variant, str]) -> None:
         block = by_pc[pc]
-        try:
-            consts, exit_stack = _simulate(block, entry)
-        except _Underflow as uf:
-            entry_fault(pc, entry, pred, f"stack underflow at offset {uf.offset}")
-            return
-        cont, succ_stack = continuation(block, exit_stack)
+        consts, cont, succ_stack = continuation(block, entry)
         sig = (len(entry), cont)
-
-        existing = None
-        for var in variants.setdefault(pc, []):
+        vars_ = variants.setdefault(pc, [])
+        for var in vars_:
             if (len(var.entry), var.cont) == sig:
-                existing = var
-                break
-        if existing is not None:
-            if pred is not None:
-                pred[0].succ[pred[1]] = (pc, existing.index)
-            joined = _join_stacks(existing.entry, entry)
-            if joined == existing.entry:
-                return
-            existing.entry = joined
-            consts, exit_stack = _simulate(block, joined)
-            cont, succ_stack = continuation(block, exit_stack)
-            if cont != existing.cont:
-                # Joining contexts lost the target; flag and cut the edge.
-                cont, succ_stack = ("halt-unres", "target lost when joining contexts"), ()
-            var = existing
-        else:
-            if len(variants[pc]) >= clone_cap:
-                unresolved.append((pc, f"clone cap {clone_cap} exceeded"))
-                if pred is not None:
-                    pred[0].succ[pred[1]] = None
-                return
-            var = _Variant(pc, len(variants[pc]), entry)
-            variants[pc].append(var)
-            if pred is not None:
                 pred[0].succ[pred[1]] = (pc, var.index)
+                joined = _join_stacks(var.entry, entry)
+                # A fault variant is never joined: its fault needs only the height.
+                if consts is None or joined == var.entry:
+                    return
+                var.entry = joined
+                consts, cont, succ_stack = continuation(block, joined)
+                if cont != var.cont:
+                    # Joining contexts lost the target; flag and cut the edge.
+                    cont, succ_stack = ("halt-unres", "target lost when joining contexts"), ()
+                break
+        else:
+            # A fault variant is dead code, so the clone cap does not count it.
+            if len(vars_) >= clone_cap and consts is not None:
+                unresolved[(str(pc), f"clone cap {clone_cap} exceeded")] = None
+                pred[0].succ[pred[1]] = None
+                return
+            var = _Variant(len(vars_), entry)
+            vars_.append(var)
+            pred[0].succ[pred[1]] = (pc, var.index)
 
         var.consts = consts
         var.cont = cont
-        if cont[0] in ("halt-unres", "jumpi-unres"):
-            unresolved.append(((pc, var.index), cont[1]))
+        if cont[0] in ("halt-unres", "jumpi-unres", "fault"):
+            unresolved[((pc, var.index), cont[1])] = None
 
         if cont[0] == "jump":
             work.append((cont[1], succ_stack, (var, "jump")))
@@ -337,26 +342,13 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
         elif cont[0] == "fall":
             work.append((cont[1], succ_stack, (var, "fall")))
 
-    def entry_fault(pc, entry, pred, reason):
-        for var in variants.setdefault(pc, []):
-            if var.fault == reason and len(var.entry) == len(entry):
-                if pred is not None:
-                    pred[0].succ[pred[1]] = (pc, var.index)
-                return
-        var = _Variant(pc, len(variants[pc]), entry)
-        var.fault = reason
-        var.cont = ("fault", reason)
-        variants[pc].append(var)
-        unresolved.append(((pc, var.index), reason))
-        if pred is not None:
-            pred[0].succ[pred[1]] = (pc, var.index)
-
-    work: deque = deque([(entry_pc, (), None)])
+    # The entry edge comes from a root that is no block.
+    root = _Variant(-1, ())
+    work: deque = deque([(blocks[0].start_pc, (), (root, "entry"))])
     while work:
-        pc, entry, pred = work.popleft()
-        process(pc, entry, pred)
+        process(*work.popleft())
 
-    return _build_cfg(by_pc, variants, unresolved, entry_pc)
+    return _build_cfg(by_pc, variants, unresolved, root)
 
 
 def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
@@ -370,7 +362,9 @@ def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
     return None
 
 
-def _build_cfg(by_pc, variants, unresolved, entry_pc) -> Cfg:
+def _build_cfg(by_pc, variants, unresolved, root) -> Cfg:
+    """Name the variants, read their successors, and add a "dropped" record
+    for each resolved edge whose successor the clone cap refused."""
     ids: dict[tuple[int, int], str] = {}
     for pc, vars_ in variants.items():
         for var in vars_:
@@ -382,49 +376,48 @@ def _build_cfg(by_pc, variants, unresolved, entry_pc) -> Cfg:
         key = var.succ.get(role)
         return ids[key] if key is not None else None
 
+    # Blocks in id_sort_key order: by pc, then variant index.
     blocks_out: dict[str, Block] = {}
-    extra_unresolved: list[tuple[str, str]] = []
     for pc in sorted(by_pc):
         src = by_pc[pc]
         for var in variants.get(pc, []):
-            bid = ids[(pc, var.index)]
+            key = (pc, var.index)
+            kind = var.cont[0]
             term: Terminator = Halt()
-            dead = False
-            if var.fault is not None:
-                dead = True
-            elif var.cont[0] == "jump":
+            if kind == "jump":
                 tgt = succ_id(var, "jump")
                 if tgt is None:
-                    extra_unresolved.append((bid, "jump target dropped"))
+                    unresolved[(key, "jump target dropped")] = None
                 else:
                     term = Jump(tgt)
-            elif var.cont[0] == "jumpi":
+            elif kind == "jumpi":
                 taken, fall = succ_id(var, "taken"), succ_id(var, "fall")
                 if taken is not None and fall is not None:
                     term = JumpI(taken, fall)
                 elif fall is not None:
-                    extra_unresolved.append((bid, "branch target dropped"))
+                    unresolved[(key, "branch target dropped")] = None
                     term = FallThrough(fall)
                 else:
-                    extra_unresolved.append((bid, "branch targets dropped"))
-            elif var.cont[0] == "jumpi-unres":
+                    unresolved[(key, "branch targets dropped")] = None
+            elif kind == "jumpi-unres":
                 fall = succ_id(var, "fall")
                 if fall is not None:
                     term = FallThrough(fall)
-            elif var.cont[0] == "fall":
+            elif kind == "fall":
                 tgt = succ_id(var, "fall")
                 if tgt is None:
-                    extra_unresolved.append((bid, "fall target dropped"))
+                    unresolved[(key, "fall target dropped")] = None
                 else:
                     term = FallThrough(tgt)
+            bid = ids[key]
             blocks_out[bid] = Block(
                 id=bid,
                 start_pc=pc,
                 instrs=list(src.instrs),
                 terminator=term,
                 entry_height=len(var.entry),
-                dead=dead,
-                const_operands=list(var.consts) if not dead else None,
+                dead=var.consts is None,
+                const_operands=var.consts,
             )
         if pc not in variants:
             blocks_out[str(pc)] = Block(
@@ -436,22 +429,9 @@ def _build_cfg(by_pc, variants, unresolved, entry_pc) -> Cfg:
                 dead=True,
             )
 
-    resolved_unres = [
-        (ids[key] if isinstance(key, tuple) else str(key), reason)
-        for key, reason in unresolved
-    ] + extra_unresolved
-    seen = set()
-    unique_unres = []
-    for item in resolved_unres:
-        if item not in seen:
-            seen.add(item)
-            unique_unres.append(item)
-
-    entry_id = ids.get((entry_pc, 0))
-    ordered = {
-        bid: blocks_out[bid] for bid in sorted(blocks_out, key=id_sort_key)
-    }
-    return Cfg(blocks=ordered, entry=entry_id, unresolved=unique_unres)
+    # A clone-cap record already names its pc.
+    records = [(ids.get(key, key), reason) for key, reason in unresolved]
+    return Cfg(blocks=blocks_out, entry=succ_id(root, "entry"), unresolved=records)
 
 
 def emit_dot(cfg: Cfg) -> str:
