@@ -227,7 +227,9 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
 
 def _havoc_memory(instr, popped, operands, state: TranslationState, layout: VarLayout):
     """Invalidate the local variables a copy-style write may touch;
-    ``operands`` indexes its (destination, length) in ``popped``."""
+    ``operands`` indexes its (destination, length) in ``popped``.  The word
+    tracked at ``addr`` spans bytes ``[addr, addr + 32)``, so a write of
+    nonzero length into any of them invalidates it."""
     dest_idx, len_idx = operands
     dest = popped[dest_idx]
     length = 1 if len_idx is None else popped[len_idx]
@@ -240,7 +242,7 @@ def _havoc_memory(instr, popped, operands, state: TranslationState, layout: VarL
         return []
     stmts = []
     for addr in sorted(layout.lmap):
-        if dest <= addr < dest + length:
+        if length and dest - 32 < addr < dest + length:
             stmts.append(Assign(f"l{layout.lmap[addr]}", state.fresh()))
     if not stmts:
         log.warning(

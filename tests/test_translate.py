@@ -431,6 +431,30 @@ def test_calldatacopy_havocs_tracked_words():
     assert assigns[1].value.name.startswith("fresh_")
 
 
+@pytest.mark.parametrize(
+    "dest, length, havocs",
+    [(70, 10, True), (55, 10, True), (95, 1, True), (54, 10, False), (96, 32, False),
+     (70, 0, False)],
+)
+def test_copy_havocs_the_tracked_words_it_overlaps(dest, length, havocs):
+    asm = Asm()
+    asm.push(42).push(0x40).op("MSTORE")  # l0, the word at bytes 64..95
+    asm.push(length).push(0).push(dest).op("CALLDATACOPY")
+    asm.push(0x40).op("MLOAD").push(0).op("SSTORE").op("STOP")
+    body = rules_of(asm.assemble())[0].body
+    assert (Assign("l0", Var("fresh_0")) in body) == havocs
+
+
+@pytest.mark.parametrize("dest, havocs", [(64, True), (69, True), (95, True), (63, False), (96, False)])
+def test_mstore8_havocs_the_tracked_word_it_lands_in(dest, havocs):
+    asm = Asm()
+    asm.push(42).push(0x40).op("MSTORE")
+    asm.push(0xFF).push(dest).op("MSTORE8")
+    asm.push(0x40).op("MLOAD").push(0).op("SSTORE").op("STOP")
+    body = rules_of(asm.assemble())[0].body
+    assert (Assign("l0", Var("fresh_0")) in body) == havocs
+
+
 def test_calldatacopy_nonconstant_range_warns(caplog):
     asm = Asm()
     asm.push(1).push(0x40).op("MSTORE")
