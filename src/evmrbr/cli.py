@@ -21,6 +21,18 @@ from .loops import detect_loops
 from .translate import translate_cfg
 
 
+def _count(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evmrbr",
@@ -37,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cfg_cmd = add("cfg", "print the block summary (or DOT with --dot)")
     cfg_cmd.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     cfg_cmd.add_argument(
-        "--clone-cap", type=int, default=32, metavar="N",
+        "--clone-cap", type=_count(1), default=32, metavar="N",
         help="max clones per block (default 32)",
     )
     rbr_cmd = add("rbr", "print or write the rule program")
@@ -47,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     saco_cmd.add_argument("-o", "--output", metavar="FILE", help="write to FILE")
     add("loops", "print the loop report")
     check_cmd = add("check", "differential-test the translation")
-    check_cmd.add_argument("--runs", type=int, default=20, metavar="N")
+    check_cmd.add_argument("--runs", type=_count(0), default=20, metavar="N")
     check_cmd.add_argument("--seed", type=int, default=0, metavar="S")
     return parser
 
@@ -102,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     try:
         code = _read_code(args.input)
-    except (OSError, HexError) as err:
+    except (OSError, UnicodeDecodeError, HexError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

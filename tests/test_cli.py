@@ -30,16 +30,17 @@ def run(capsys, monkeypatch, tmp_path):
     return invoke
 
 
-def cli_process(*argv, stdin: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a child process that imports this package."""
+def cli_process(*argv, stdin: str | bytes, **env: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process that imports this package, with
+    ``env`` added to its environment; its output is text if ``stdin`` is."""
     src = str(Path(evmrbr.cli.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "evmrbr", *argv],
         input=stdin,
         capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        text=isinstance(stdin, str),
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -66,6 +67,43 @@ def test_missing_file_is_input_error(run):
     code, out, err = run("disasm", "/nonexistent/path.hex")
     assert code == 1
     assert out == ""
+
+
+def test_non_utf8_file_is_input_error(run, tmp_path):
+    path = tmp_path / "code.hex"
+    path.write_bytes(b"\xff\xfe60")
+    code, out, err = run("disasm", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_stdin_is_input_error():
+    result = cli_process("disasm", "-", stdin=b"\xff\xfe60", PYTHONIOENCODING="utf-8")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "-", "--runs", "-1"), "argument --runs: must be at least 0, not -1"),
+        (("cfg", "-", "--clone-cap", "0"), "argument --clone-cap: must be at least 1, not 0"),
+        (("cfg", "-", "--clone-cap", "x"), "argument --clone-cap: invalid count value: 'x'"),
+    ],
+)
+def test_out_of_range_count_is_usage_error(run, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, stdin="00")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
+def test_check_zero_runs_is_valid(run):
+    assert run("check", "-", "--runs", "0", stdin="00") == (0, "divergences: 0/0\n", "")
 
 
 def test_truncated_push_is_pipeline_error(run):
