@@ -1,5 +1,6 @@
 """Translation of blocks into rules: tau, guards, layouts, rule shapes."""
 
+import hashlib
 import itertools
 import random
 
@@ -8,10 +9,13 @@ import pytest
 from corpus import ADD_STORE, CORPUS
 from helpers import definite_assignment_ok
 from progen import Asm, gen_program
+from test_cfg import _RESOLVER_PROGRAMS, _pinned_resolves
 
 from evmrbr.asm import Instruction, disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
-from evmrbr.errors import StackUnderflow
+from evmrbr.cli import main
+from evmrbr.emit import emit_rbr, export_saco
+from evmrbr.errors import EvmRbrError, StackUnderflow
 from evmrbr.evm_exec import run_evm
 from evmrbr.opcodes import BY_NAME
 from evmrbr.rbr import Assign, BinOp, Guard, Nop, Num, Var
@@ -476,3 +480,107 @@ def test_clone_rules_use_clone_names():
     by_name = {r.name: r for r in rules}
     assert by_name["block_13_c0"].continuation.target == "block_5"
     assert by_name["block_13_c1"].continuation.target == "block_11"
+
+
+
+# PUSH1 1, PUSH1 8, DUP1, POP, JUMPI, STOP, JUMPDEST, STOP: the JUMPI target
+# resolves but is not pushed just before the jump, so it is dropped from the
+# stack and the condition is tested raw.
+_STACK_CARRIED_TARGET = "60016008805057005b00"
+
+
+def test_stack_carried_jumpi_target(caplog, capsys, tmp_path):
+    with caplog.at_level("WARNING"):
+        rules = rules_of(bytes.fromhex(_STACK_CARRIED_TARGET))
+    assert emit_rbr(rules) == (
+        "block_0() =>\n"
+        "  s0 = 1,\n"
+        "  s1 = 8,\n"
+        "  s2 = s1,\n"
+        "  call(jump_0(s0))\n"
+        "\n"
+        "jump_0(s0) =>\n"
+        "  neq(s0, 0) | call(block_8())\n"
+        "\n"
+        "jump_0(s0) =>\n"
+        "  eq(s0, 0) | call(block_7())\n"
+        "\n"
+        "block_7() =>\n"
+        "\n"
+        "block_8() =>\n"
+    )
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "block 0: no guard pattern, testing the raw condition"
+    ]
+    path = tmp_path / "code.hex"
+    path.write_text(_STACK_CARRIED_TARGET)
+    assert main(["check", str(path), "--runs", "5"]) == 0
+    assert capsys.readouterr().out == "divergences: 0/5\n"
+
+
+def _translation_digest(cfgs, caplog) -> str:
+    """Digest of the nop-marked rules, the SACO export and the logged
+    warnings (or the error) of translating each of ``cfgs``."""
+    parts = []
+    for cfg in cfgs:
+        caplog.clear()
+        try:
+            parts.append(emit_rbr(translate_cfg(cfg, nops=True)))
+            parts.append(export_saco(translate_cfg(cfg)))
+        except EvmRbrError as err:
+            parts.append(f"error {type(err).__name__}: {err}")
+        parts.extend(rec.getMessage() for rec in caplog.records)
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+_TRANSLATED_PROGRAMS = {
+    **_RESOLVER_PROGRAMS,
+    "stack-carried-target": bytes.fromhex(_STACK_CARRIED_TARGET),
+}
+
+# Digests of _translation_digest over _pinned_resolves of each of
+# _TRANSLATED_PROGRAMS: every tail shape (halt, fall-through, a jump with a
+# pushed or a stack-carried target, a conditional jump with a comparison
+# window, an ISZERO-only window, no window or a stack-carried target) at
+# clone caps 1, 4 and 32.  Recorded before translate_block split every
+# block's tail in one place.
+_PINNED_TRANSLATIONS = {
+    "add_store": "97d1d3b3d5316279",
+    "bitops": "1146d6cb1b53085d",
+    "branch target dropped": "d58272436af0d9cb",
+    "branch targets dropped": "ec89e0054d21b6d6",
+    "branch-off-code-end": "eacd0dd2aa0ad802",
+    "calldata_env": "fb7da4b86fe84b9f",
+    "clone-cap": "fd11f958ee0707b2",
+    "counter_loop": "232bd0efdebe0c8c",
+    "dispatcher": "b6801bb907b0b3cc",
+    "fall target dropped": "6e92b2d1da7de23e",
+    "iszero_chain": "cb9baf442170f354",
+    "jump target dropped": "59bf090699eca12e",
+    "jumpi_const": "edc7b1d2e5d34f66",
+    "memory_shuffle": "ef2176c39700d9df",
+    "not-a-block-start": "d6877f2447f63a5c",
+    "not-a-jumpdest": "4207fe28827a14c1",
+    "not_store": "1538a4662c4ae224",
+    "pc-dup-swap-invalid": "949315034e903229",
+    "progen-11": "44c1c27b769130e7",
+    "progen-29": "a33c32bfa2964b6a",
+    "progen-3": "dfdb33565c3874f0",
+    "progen-47": "2a0432c56397090f",
+    "progen-83": "03c217074fa10ed0",
+    "six_loops": "981855a971a1ca80",
+    "stack-carried-target": "2a2f852520bde1d0",
+    "stack-underflow": "ede109bc083e8285",
+    "subroutine-clones": "1f8509355f41826a",
+    "target-lost-when-joining": "63aa3124f1994eef",
+    "two_block_jump": "47059751d1cf14b8",
+    "two_caller_clone": "bf060dcf8b59e09d",
+    "unknown-target": "b3a0d12d9bf3c058",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TRANSLATIONS))
+def test_translation_is_pinned(name, caplog):
+    cfgs = _pinned_resolves(name, _TRANSLATED_PROGRAMS[name])
+    with caplog.at_level("WARNING"):
+        assert _translation_digest(cfgs, caplog) == _PINNED_TRANSLATIONS[name]
