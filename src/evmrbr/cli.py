@@ -148,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     except EvmRbrError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:  # the output could not be written
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,10 +17,17 @@ Instruction effects:
 * Anything else (hashing, calls, ...) consumes its operands and produces
   ``fresh_*`` values.
 
-The trailing comparison cluster of a conditional jump is not materialized:
-it becomes the guard pair of the ``jump_`` rules, as is the push of a jump
-target.  With ``nops=True`` every consumed bytecode leaves a ``nop(MNEMONIC)``
-marker so a cost analysis can still see the original instructions.
+A block is translated up to one tail index.  The tail of a JUMP or JUMPI
+is the jump itself, the push of its resolved target just before it, and,
+for a JUMPI whose target was pushed there, the guard window before that
+push: one comparison followed by ISZEROs, or ISZEROs alone.  The tail is
+not materialized.  The window becomes the guard pair of the ``jump_``
+rules; with an empty window, or a target that was not pushed there, the
+pair tests the raw condition against zero.  A target that was not pushed
+there reached the stack earlier and is dropped from it.  With
+``nops=True`` every consumed bytecode, tail included, leaves a
+``nop(MNEMONIC)`` marker so a cost analysis can still see the original
+instructions.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .cfg import Block, Cfg, FallThrough, Jump, JumpI, id_sort_key
+from .cfg import Block, Cfg, Halt, Jump, JumpI, id_sort_key
 from .errors import EvmRbrError, StackUnderflow
 from .opcodes import KINDS
 from .rbr import (
@@ -298,110 +305,58 @@ def translate_block(block: Block, layout: VarLayout, *, nops: bool = False) -> l
     term = block.terminator
     name = f"block_{block.id}"
     height = block.entry_height
+
+    # instrs[end:] is the tail left as nop markers: the jump, the push of
+    # its target just before it, and a JUMPI's guard window before that.
+    end = len(instrs)
+    carried = False  # the jump target reached the stack earlier
+    window = None
+    if isinstance(term, (Jump, JumpI)):
+        target_pc = id_sort_key(term.target if isinstance(term, Jump) else term.taken)[0]
+        end -= 1
+        if end and instrs[end - 1].opcode.is_push and instrs[end - 1].immediate == target_pc:
+            end -= 1
+            if isinstance(term, JumpI):
+                start = end
+                while start and instrs[start - 1].mnemonic == "ISZERO":
+                    start -= 1
+                if start and instrs[start - 1].mnemonic in _CMP_GUARDS:
+                    start -= 1
+                window, end = instrs[start:end], start
+        else:
+            carried = True
     body: list[Statement] = []
-
-    def run_tau(seq) -> None:
-        for ins in seq:
-            body.extend(tau(ins, state, layout))
-
-    def mark_nops(seq) -> None:
-        if nops:
-            body.extend(Nop(ins.mnemonic) for ins in seq)
-
-    if isinstance(term, Jump):
-        target_pc = id_sort_key(term.target)[0]
-        elide = (
-            len(instrs) >= 2
-            and instrs[-2].opcode.is_push
-            and instrs[-2].immediate == target_pc
-        )
-        run_tau(instrs[:-2] if elide else instrs[:-1])
-        if not elide:
-            state.m -= 1  # target reached the stack earlier: drop it
-        mark_nops(instrs[-2:] if elide else instrs[-1:])
-        cont = Call(f"block_{term.target}", state.m + 1)
-        return [Rule(name, height, layout, None, body, cont)]
-
-    if isinstance(term, JumpI):
-        return _translate_jumpi(block, layout, state, body, nops)
-
-    if isinstance(term, FallThrough):
-        run_tau(instrs)
-        cont = Call(f"block_{term.target}", state.m + 1)
-        return [Rule(name, height, layout, None, body, cont)]
-
-    run_tau(instrs)
-    return [Rule(name, height, layout, None, body, None)]
-
-
-def _translate_jumpi(block, layout, state, body, nops) -> list[Rule]:
-    instrs = block.instrs
-    term = block.terminator
-    name = f"block_{block.id}"
-    jump_name = f"jump_{block.id}"
-    last = len(instrs) - 1
-    taken_pc = id_sort_key(term.taken)[0]
-    has_push = (
-        last >= 1
-        and instrs[last - 1].opcode.is_push
-        and instrs[last - 1].immediate == taken_pc
-    )
-    if has_push:
-        j = last - 2
-        while j >= 0 and instrs[j].mnemonic == "ISZERO":
-            j -= 1
-        c = j if j >= 0 and instrs[j].mnemonic in _CMP_GUARDS else j + 1
-        window, rest = instrs[c : last - 1], instrs[c:]
-    else:
-        window, rest = None, instrs[last:]
-        c = last
-
-    for ins in instrs[:c]:
+    for ins in instrs[:end]:
         body.extend(tau(ins, state, layout))
-    if window is None:
-        state.m -= 1  # branch target came from the stack: drop it
+    if carried:
+        state.m -= 1  # drop the target
+    if nops:
+        body.extend(Nop(ins.mnemonic) for ins in instrs[end:])
 
+    if not isinstance(term, JumpI):
+        cont = None if isinstance(term, Halt) else Call(f"block_{term.target}", state.m + 1)
+        return [Rule(name, height, layout, None, body, cont)]
+
+    # The jump_ pair takes everything live when the block rule hands over,
+    # the guard operands on top.
+    jump_name = f"jump_{block.id}"
+    hand_over = state.m + 1
     if window:
         taken_guard, fall_guard = tau_G(window, state)
     else:
         # Condition is a plain value: guard directly on it being nonzero.
         if state.m < 0:
-            raise StackUnderflow(block.id, instrs[last].offset)
+            raise StackUnderflow(block.id, instrs[-1].offset)
         taken_guard = Guard("neq", Var(_s(state.m)), Num(0))
         fall_guard = taken_guard.negated()
         state.m -= 1
         log.warning("block %s: no guard pattern, testing the raw condition", block.id)
-
-    # Stack params of the jump_ pair: everything live when the block rule
-    # hands over, i.e. the guard operands are the top slots.
-    hand_over = _guard_entry_height(taken_guard, state.m)
-    if nops:
-        body.extend(Nop(ins.mnemonic) for ins in rest)
-    rules = [
-        Rule(name, block.entry_height, layout, None, body, Call(jump_name, hand_over)),
-        Rule(
-            jump_name,
-            hand_over,
-            layout,
-            taken_guard,
-            [],
-            Call(f"block_{term.taken}", state.m + 1),
-        ),
-        Rule(
-            jump_name,
-            hand_over,
-            layout,
-            fall_guard,
-            [],
-            Call(f"block_{term.fallthrough}", state.m + 1),
-        ),
+    after = state.m + 1
+    return [
+        Rule(name, height, layout, None, body, Call(jump_name, hand_over)),
+        Rule(jump_name, hand_over, layout, taken_guard, [], Call(f"block_{term.taken}", after)),
+        Rule(jump_name, hand_over, layout, fall_guard, [], Call(f"block_{term.fallthrough}", after)),
     ]
-    return rules
-
-
-def _guard_entry_height(guard: Guard, m_after: int) -> int:
-    consumed = 2 if isinstance(guard.rhs, Var) else 1
-    return m_after + 1 + consumed
 
 
 def translate_cfg(cfg: Cfg, *, nops: bool = False) -> list[Rule]:

@@ -78,6 +78,22 @@ def test_non_utf8_file_is_input_error(run, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unwritable_output_file_is_input_error(run, tmp_path):
+    output = tmp_path / "missing" / "x.rbr"
+    code, out, err = run("rbr", hexfile(tmp_path, ADD_STORE), "-o", str(output))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(output) in err
+
+
+def test_output_to_a_directory_is_input_error(run, tmp_path):
+    code, out, err = run("saco", hexfile(tmp_path, ADD_STORE), "-o", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_non_utf8_stdin_is_input_error():
     result = cli_process("disasm", "-", stdin=b"\xff\xfe60", PYTHONIOENCODING="utf-8")
     assert result.returncode == 1

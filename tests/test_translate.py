@@ -482,7 +482,6 @@ def test_clone_rules_use_clone_names():
     assert by_name["block_13_c1"].continuation.target == "block_11"
 
 
-
 # PUSH1 1, PUSH1 8, DUP1, POP, JUMPI, STOP, JUMPDEST, STOP: the JUMPI target
 # resolves but is not pushed just before the jump, so it is dropped from the
 # stack and the condition is tested raw.
