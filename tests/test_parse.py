@@ -1,5 +1,6 @@
 """Parsing the canonical text back into rules."""
 
+import hashlib
 import random
 import sys
 
@@ -181,6 +182,24 @@ def test_roundtrip_generated():
         assert parse_rbr(emit_rbr(rules)) == rules
 
 
+_EDIT_ALPHABET = "bjklmsgx_019 \n(),|=>+-*/%^$\u0663"
+
+
+def _edited(rng: random.Random, text: str) -> str:
+    """``text`` with 1-3 random character deletions, insertions or swaps."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(chars))
+        edit = rng.randrange(3)
+        if edit == 0:
+            del chars[at]
+        elif edit == 1:
+            chars.insert(at, rng.choice(_EDIT_ALPHABET))
+        else:
+            chars[at] = rng.choice(_EDIT_ALPHABET)
+    return "".join(chars)
+
+
 def test_parse_mutants_fail_only_with_syntax_errors():
     # 1-3 random character edits to emitted text: each parse either returns
     # rules that emit and export again, or raises RbrSyntaxError; nothing
@@ -190,24 +209,86 @@ def test_parse_mutants_fail_only_with_syntax_errors():
     for _ in range(3):
         rules = rules_of(gen_program(rng))
         texts += [emit_rbr(rules), export_saco(rules)]
-    alphabet = "bjklmsgx_019 \n(),|=>+-*/%^$\u0663"
     for _ in range(600):
-        chars = list(rng.choice(texts))
-        for _ in range(rng.randint(1, 3)):
-            at = rng.randrange(len(chars))
-            edit = rng.randrange(3)
-            if edit == 0:
-                del chars[at]
-            elif edit == 1:
-                chars.insert(at, rng.choice(alphabet))
-            else:
-                chars[at] = rng.choice(alphabet)
         try:
-            rules = parse_rbr("".join(chars))
+            rules = parse_rbr(_edited(rng, rng.choice(texts)))
         except RbrSyntaxError:
             continue
         emit_rbr(rules)
         export_saco(rules)
+
+
+def _pinned_texts(group: str) -> list[str]:
+    corpus = [rules_of(code, nops=True) for code in CORPUS.values()]
+    generated = [rules_of(gen_program(random.Random(seed))) for seed in range(8)]
+    if group == "corpus":
+        return [emit_rbr(rules) for rules in corpus]
+    if group == "generated":
+        return [emit_rbr(rules) for rules in generated]
+    return [export_saco(rules) for rules in corpus + generated]
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return repr(parse_rbr(text))
+    except RbrSyntaxError as err:
+        return repr((err.line, err.column, err.expected))
+
+
+# Digests of the parse outcomes (the rules, or the error's line, column and
+# expected text) of each group's texts and 1,500 seeded 1-3 character edits
+# of them, recorded before the parser reused the result of a statement text
+# it had already parsed.
+_PINNED_PARSES = {
+    "corpus": "d3896832fae36333",
+    "generated": "b18e87b681ca093b",
+    "saco": "21eca134faddb51d",
+}
+
+
+@pytest.mark.parametrize("group", sorted(_PINNED_PARSES))
+def test_parse_outcomes_are_pinned(group):
+    rng = random.Random(group)
+    texts = _pinned_texts(group)
+    edits = [_edited(rng, rng.choice(texts)) for _ in range(1500)]
+    outcomes = "\n".join(map(_parse_outcome, texts + edits))
+    assert hashlib.sha256(outcomes.encode()).hexdigest()[:16] == _PINNED_PARSES[group]
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("block_0() =>\n  s0 = s1,\n  s0 = s1,\n  s0 = s1,\n  s1 = s0",
+         [Assign("s0", Var("s1"))] * 3 + [Assign("s1", Var("s0"))]),
+        # The token path reads a statement on across a line break.
+        ("block_0() =>\n  s0 = s1,\n  s0 = s1\n  + s2,\n  s0 = s1\n  + s2,\n  s0 = s1",
+         [Assign("s0", Var("s1")), *[Assign("s0", BinOp("+", Var("s1"), Var("s2")))] * 2,
+          Assign("s0", Var("s1"))]),
+        ("block_0() => s0 = s1 + s2, s0 = s1 -- c\n + s2, s0 = s1",
+         [*[Assign("s0", BinOp("+", Var("s1"), Var("s2")))] * 2, Assign("s0", Var("s1"))]),
+        # An invalid statement after a valid one of the same shape.
+        ("block_0() => s0 = s1, x0 = s1, s0 = s1",
+         (1, 23, "a stack/field/local/rule-local target")),
+        ("block_0() => s0 = fresh_1, s0 = fresh_, s0 = fresh_1",
+         (1, 33, "a fresh_<n> variable")),
+        ("block_0() => fresh_1 = s0, fresh_ = s0, fresh_1 = s0",
+         (1, 28, "a stack/field/local/rule-local target")),
+        pytest.param(
+            "block_0() => s0 = 9, s0 = {n}, s0 = {n}", (1, 27, "a numeral of at most {d} digits"),
+            marks=needs_int_digit_limit,
+        ),
+    ],
+)
+def test_parse_repeated_statement_outcomes(text, outcome):
+    text = text.format(n="9" * (INT_DIGITS + 1))
+    if isinstance(outcome, list):
+        assert parse_rbr(text)[0].body == outcome
+        return
+    with pytest.raises(RbrSyntaxError) as err:
+        parse_rbr(text)
+    line, column, expected = outcome
+    assert (err.value.line, err.value.column, err.value.expected) == (
+        line, column, expected.format(d=INT_DIGITS))
 
 
 def test_roundtrip_recovers_layout_tables():
