@@ -7,6 +7,7 @@ whose immediate bytes run past the end of the code.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import InconsistentOffsets, NonHexCharacter, OddDigitCount, TruncatedPush
@@ -38,27 +39,27 @@ class Instruction(NamedTuple):
         return f"{self.offset}: {self.mnemonic} 0x{self.immediate:x}"
 
 
+_WHITESPACE = " \t\r\n\f\v"
+_NON_HEX = re.compile(f"[^0-9a-fA-F{_WHITESPACE}]")
+_DROP_WHITESPACE = str.maketrans("", "", _WHITESPACE)
+
+
 def parse_hex(text: str) -> bytes:
     """Parse hex text into bytes.
 
     Accepts an optional leading ``0x`` and ignores ASCII whitespace.  An odd
     digit count or any other character is rejected.
     """
-    digits = []
-    start = 0
-    stripped = text.lstrip()
-    if stripped[:2] in ("0x", "0X"):
-        start = len(text) - len(stripped) + 2
-    for pos in range(start, len(text)):
-        ch = text[pos]
-        if ch in " \t\r\n\f\v":
-            continue
-        if ch not in "0123456789abcdefABCDEF":
-            raise NonHexCharacter(pos, ch)
-        digits.append(ch)
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    if text.startswith(("0x", "0X"), start):
+        start += 2
+    bad = _NON_HEX.search(text, start)
+    if bad:
+        raise NonHexCharacter(bad.start(), bad.group())
+    digits = text[start:].translate(_DROP_WHITESPACE)
     if len(digits) % 2 != 0:
         raise OddDigitCount()
-    return bytes.fromhex("".join(digits))
+    return bytes.fromhex(digits)
 
 
 # (opcode, immediate width) of each byte value, looked up once.

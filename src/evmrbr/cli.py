@@ -65,8 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_code(source: str) -> bytes:
-    text = sys.stdin.read() if source == "-" else open(source).read()
-    return parse_hex(text)
+    if source == "-":
+        return parse_hex(sys.stdin.read())
+    with open(source) as handle:
+        return parse_hex(handle.read())
 
 
 def _write_output(text: str, output: str | None) -> None:

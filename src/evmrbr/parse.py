@@ -11,6 +11,15 @@ parameter or argument list with one regular expression.  Line and column
 are computed from the offset only when an error is raised.  One scan up
 front finds the first character outside the token set, so a bad character
 is reported even when a grammar error comes before it.
+
+Emitted programs repeat few statement texts many times, so each
+``parse_rbr`` call keeps a memo from statement text to its ``Assign``.  A
+body item that matches an assignment in the emitted spacing followed by a
+comma is looked up there; on a miss the token path parses it, and the result
+is stored if that parse ended where the match did.  The comma ends the
+statement for the token path too, so equal texts parse equal.  A failed
+parse is never stored, so every error comes from the token path at its own
+offset.
 """
 
 from __future__ import annotations
@@ -60,6 +69,11 @@ _COMMENT_OR_ARROW = re.compile(r"--[^\n]*|=>")
 _OTHER = re.compile(r"[^\s\dA-Za-z_(),|=+\-*/%^]")
 # A whole name list without comments; any other list takes the token path.
 _NAME_LIST = re.compile(_SKIP + rf"\(\s*((?:{_NAME}\s*,\s*)*{_NAME})?\s*\)")
+# An assignment in the spacing emit_rbr writes, ended by a comma: the key of
+# the statement memo.  Group 1 is the statement text.
+_ATOM = rf"(?:{_NAME}|\d+)"
+_MEMO_KEY = re.compile(_SKIP + rf"({_NAME} = (?:(?:and|or|xor)\({_ATOM}, {_ATOM}\)"
+                       rf"|not\({_ATOM}\)|{_ATOM}(?: [{re.escape(_BIN_OPS)}] {_ATOM})?))(?=,)")
 
 
 def _error(text: str, offset: int, what: str) -> RbrSyntaxError:
@@ -106,6 +120,7 @@ class _Parser:
         self.scanned = -1  # the ``pos`` the current token was scanned from
         self.layout: VarLayout | None = None
         self.params: list[str] = []  # layout.param_names(), built once
+        self.statements: dict[str, Assign] = {}  # the statement memo
 
     def peek(self) -> str:
         if self.scanned != self.pos:
@@ -247,6 +262,17 @@ def _parse_body(parser) -> tuple[list[Statement], Call | None]:
 
     def parse_item(required: bool) -> bool:
         nonlocal call
+        key = _MEMO_KEY.match(parser.text, parser.pos)
+        if key:
+            stmt = parser.statements.get(key.group(1))
+            if stmt is None:
+                stmt = _parse_assign(parser)
+                if parser.pos == key.end():
+                    parser.statements[key.group(1)] = stmt
+            else:
+                parser.pos = key.end()
+            body.append(stmt)
+            return True
         if parser.peek() == "name":
             word = parser.value
             if word == "call" and parser.next_is("("):

@@ -71,6 +71,21 @@ def test_parse_hex_bad_character():
     assert err.value.char == "z"
 
 
+@pytest.mark.parametrize("text", ["\x1c0x00", "\xa00x00", "\xa06001", "\u20030x00"])
+def test_parse_hex_rejects_unicode_whitespace_before_prefix(text):
+    # Only ASCII whitespace is ignored, before a 0x prefix as anywhere else.
+    with pytest.raises(NonHexCharacter) as err:
+        parse_hex(text)
+    assert (err.value.position, err.value.char) == (0, text[0])
+
+
+def test_parse_hex_ascii_whitespace_before_prefix():
+    assert parse_hex(" \t\r\n\f\v0x60 0\n5") == bytes.fromhex("6005")
+    with pytest.raises(NonHexCharacter) as err:
+        parse_hex("\n0x0x00")
+    assert (err.value.position, err.value.char) == (4, "x")
+
+
 def test_assemble_examples():
     assert assemble([Instruction(0, BY_NAME["STOP"])]) == b"\x00"
     stream = [
