@@ -583,3 +583,61 @@ def test_translation_is_pinned(name, caplog):
     cfgs = _pinned_resolves(name, _TRANSLATED_PROGRAMS[name])
     with caplog.at_level("WARNING"):
         assert _translation_digest(cfgs, caplog) == _PINNED_TRANSLATIONS[name]
+
+
+def _plain_emission_digest(cfgs) -> str:
+    """Digest of the rules ``rbr`` writes without ``--nops`` and of the
+    nop-marked rules emitted with ``nops=False`` (or the error) for each of
+    ``cfgs``."""
+    parts = []
+    for cfg in cfgs:
+        try:
+            parts.append(emit_rbr(translate_cfg(cfg)))
+            parts.append(emit_rbr(translate_cfg(cfg, nops=True), nops=False))
+        except EvmRbrError as err:
+            parts.append(f"error {type(err).__name__}: {err}")
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+# Digests of _plain_emission_digest over _pinned_resolves of each of
+# _TRANSLATED_PROGRAMS.  Recorded before translate_cfg and emit_rbr shared
+# equal statements and parameter lists within one call.
+_PINNED_PLAIN_EMISSIONS = {
+    "add_store": "d5df4938f237147d",
+    "bitops": "75fe7614fdf7aa99",
+    "branch target dropped": "3e087b65802eba27",
+    "branch targets dropped": "f52ab7d5e5bbcd20",
+    "branch-off-code-end": "7381062e94c437b7",
+    "calldata_env": "dd884476a5bcb98f",
+    "clone-cap": "9f2e4f08b757126a",
+    "counter_loop": "3750245e1c0b4440",
+    "dispatcher": "c50d0f12f4b81714",
+    "fall target dropped": "e6a7b24e1f96ccb3",
+    "iszero_chain": "5206536cad2345b5",
+    "jump target dropped": "9c7e9b6f4f25e820",
+    "jumpi_const": "ccf892a669d4630d",
+    "memory_shuffle": "655442885399c40d",
+    "not-a-block-start": "8050bf959ed41d16",
+    "not-a-jumpdest": "fd927173ae921948",
+    "not_store": "3626c3514c2035d0",
+    "pc-dup-swap-invalid": "2bb50ccee6b2bcbc",
+    "progen-11": "8b1b867e50f46099",
+    "progen-29": "58d18301becdf4a2",
+    "progen-3": "4ad075dd668809ca",
+    "progen-47": "30b416de6e5c2dd0",
+    "progen-83": "14fa7b759c3c57e6",
+    "six_loops": "61ff626f56e7f850",
+    "stack-carried-target": "1e4b226e3c091d8b",
+    "stack-underflow": "d742a0b84c5e36e3",
+    "subroutine-clones": "d003838e64719fc5",
+    "target-lost-when-joining": "1206d345d548e4eb",
+    "two_block_jump": "20234055f6287dea",
+    "two_caller_clone": "08aa72e7194c3ae4",
+    "unknown-target": "610cce2ccd9189bb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TRANSLATIONS))
+def test_plain_emission_is_pinned(name):
+    cfgs = _pinned_resolves(name, _TRANSLATED_PROGRAMS[name])
+    assert _plain_emission_digest(cfgs) == _PINNED_PLAIN_EMISSIONS[name]
