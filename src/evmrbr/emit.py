@@ -24,6 +24,7 @@ from .rbr import (
     Rule,
     Statement,
     Var,
+    highest_fresh,
     rule_sort_key,
 )
 
@@ -52,26 +53,50 @@ def format_guard(guard: Guard) -> str:
     return f"{guard.relation}({format_expr(guard.lhs)}, {format_expr(guard.rhs)})"
 
 
-def _format_call(rule: Rule, call: Call) -> str:
-    args = ", ".join(rule.call_args(call))
-    return f"call({call.target}({args}))"
+class _Printer:
+    """Renders the rules of one ``emit_rbr`` call, printing each distinct
+    argument list and statement once.
 
+    An argument list is keyed by (layout, stack count).  Statements are keyed by identity: one
+    ``translate_cfg`` call builds equal statements as one object, and the
+    rules keep every key alive while the call runs.
+    """
 
-def _format_rule(rule: Rule, nops: bool) -> str:
-    head = f"{rule.name}({', '.join(rule.params())}) =>"
-    if rule.guard is not None:
-        assert rule.continuation is not None, "guarded rule without continuation"
-        return f"{head}\n  {format_guard(rule.guard)} | {_format_call(rule, rule.continuation)}"
-    items = [
-        format_statement(s)
-        for s in rule.body
-        if nops or not isinstance(s, Nop)
-    ]
-    if rule.continuation is not None:
-        items.append(_format_call(rule, rule.continuation))
-    if not items:
-        return head
-    return head + "\n" + ",\n".join("  " + item for item in items)
+    def __init__(self, nops: bool):
+        self.nops = nops
+        self.arg_lists: dict[tuple[int, int], str] = {}
+        self.lines: dict[int, str] = {}
+
+    def _args(self, rule: Rule, count: int) -> str:
+        key = (id(rule.layout), count)
+        text = self.arg_lists.get(key)
+        if text is None:
+            text = self.arg_lists[key] = ", ".join(rule.layout.arg_names(count))
+        return text
+
+    def _call(self, rule: Rule, call: Call) -> str:
+        return f"call({call.target}({self._args(rule, call.stack_count)}))"
+
+    def format(self, rule: Rule) -> str:
+        head = f"{rule.name}({self._args(rule, rule.stack_params)}) =>"
+        if rule.guard is not None:
+            assert rule.continuation is not None, "guarded rule without continuation"
+            return f"{head}\n  {format_guard(rule.guard)} | {self._call(rule, rule.continuation)}"
+        lines = self.lines
+        items = []
+        for stmt in rule.body:
+            line = lines.get(id(stmt))
+            if line is None:
+                # An empty line stands for a left-out nop marker.
+                skip = isinstance(stmt, Nop) and not self.nops
+                line = lines[id(stmt)] = "" if skip else "  " + format_statement(stmt)
+            if line:
+                items.append(line)
+        if rule.continuation is not None:
+            items.append("  " + self._call(rule, rule.continuation))
+        if not items:
+            return head
+        return head + "\n" + ",\n".join(items)
 
 
 def _header(rules: list[Rule]) -> list[str]:
@@ -99,8 +124,22 @@ def emit_rbr(rules: list[Rule], *, nops: bool = True) -> str:
     ordered = sorted(rules, key=lambda r: rule_sort_key(r.name))
     header = _header(rules)
     chunks = ["\n".join(header)] if header else []
-    chunks += [_format_rule(r, nops) for r in ordered]
+    printer = _Printer(nops)
+    chunks += [printer.format(r) for r in ordered]
     return "\n\n".join(chunks) + "\n" if chunks else ""
+
+
+def _fresh_count(body: list[Statement], highest: dict[int, int]) -> int:
+    """``Rule.fresh_count`` of ``body``; ``highest`` caches each statement's
+    highest ``fresh_*`` index by identity, as ``emit_rbr`` keys its lines."""
+    count = 0
+    for stmt in body:
+        index = highest.get(id(stmt))
+        if index is None:
+            index = highest[id(stmt)] = highest_fresh(stmt)
+        if index >= count:
+            count = index + 1
+    return count
 
 
 def export_saco(rules: list[Rule]) -> str:
@@ -108,19 +147,27 @@ def export_saco(rules: list[Rule]) -> str:
 
     Statements whose expression involves ``and``/``or``/``xor``/``not`` are
     replaced by assignments from new fresh variables (indices continuing
-    each rule's own counter); ``nop`` markers are dropped.
+    each rule's own counter); ``nop`` markers are dropped.  Each distinct
+    statement is scanned for ``fresh_*`` once, each replacement is built
+    once, and a rule left unchanged is not copied.
     """
+    highest: dict[int, int] = {}
+    forgotten: dict[tuple[str, int], Assign] = {}
     rewritten = []
     for rule in rules:
-        counter = rule.fresh_count()
+        counter = None
         body: list[Statement] = []
         for stmt in rule.body:
             if isinstance(stmt, Nop):
                 continue
-            if isinstance(stmt, Assign) and isinstance(stmt.value, (BitOp, Not)):
-                body.append(Assign(stmt.target, Var(f"fresh_{counter}")))
+            if isinstance(stmt.value, (BitOp, Not)):
+                if counter is None:
+                    counter = _fresh_count(rule.body, highest)
+                key = (stmt.target, counter)
+                stmt = forgotten.get(key)
+                if stmt is None:
+                    stmt = forgotten[key] = Assign(key[0], Var(f"fresh_{counter}"))
                 counter += 1
-            else:
-                body.append(stmt)
-        rewritten.append(replace(rule, body=body))
+            body.append(stmt)
+        rewritten.append(rule if body == rule.body else replace(rule, body=body))
     return "-- saco\n" + emit_rbr(rewritten, nops=False)

@@ -135,6 +135,12 @@ class VarLayout:
             + self.bc_names()
         )
 
+    def arg_names(self, stack_count: int) -> list[str]:
+        """Parameters of a rule, or arguments of a call, passing
+        ``stack_count`` stack slots: ``s0..s<stack_count-1>``, then the
+        non-stack parameters."""
+        return [f"s{i}" for i in range(stack_count)] + self.param_names()
+
 
 @dataclass
 class Rule:
@@ -152,20 +158,24 @@ class Rule:
         return self.name.startswith("jump_")
 
     def params(self) -> list[str]:
-        return [f"s{i}" for i in range(self.stack_params)] + self.layout.param_names()
+        return self.layout.arg_names(self.stack_params)
 
     def call_args(self, call: Call) -> list[str]:
-        return [f"s{i}" for i in range(call.stack_count)] + self.layout.param_names()
+        return self.layout.arg_names(call.stack_count)
 
     def fresh_count(self) -> int:
         """Number of fresh_* variables used (next free index)."""
-        highest = -1
-        for stmt in self.body:
-            if isinstance(stmt, Assign):
-                for name in _names_of(stmt.value) + [stmt.target]:
-                    if name.startswith("fresh_"):
-                        highest = max(highest, int(name[6:]))
-        return highest + 1
+        return max(map(highest_fresh, self.body), default=-1) + 1
+
+
+def highest_fresh(stmt: Statement) -> int:
+    """Highest index of a fresh_* variable in ``stmt``; -1 when it has none."""
+    highest = -1
+    if isinstance(stmt, Assign):
+        for name in _names_of(stmt.value) + [stmt.target]:
+            if name.startswith("fresh_"):
+                highest = max(highest, int(name[6:]))
+    return highest
 
 
 def _names_of(expr: Expr) -> list[str]:

@@ -28,6 +28,12 @@ there reached the stack earlier and is dropped from it.  With
 ``nops=True`` every consumed bytecode, tail included, leaves a
 ``nop(MNEMONIC)`` marker so a cost analysis can still see the original
 instructions.
+
+Statements are immutable, so rule bodies may share them: one
+``translate_cfg`` call builds the statements of a PUSH, DUP, SWAP, POP,
+JUMPDEST, arithmetic, bit operation or environment read once per (opcode,
+stack top, immediate) and puts the same objects in every rule that needs
+them.  ``tau`` itself returns new statements on every call.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 
 from .cfg import Block, Cfg, Halt, Jump, JumpI, id_sort_key
 from .errors import EvmRbrError, StackUnderflow
-from .opcodes import KINDS
+from .opcodes import KINDS, for_byte
 from .rbr import (
     Assign,
     BinOp,
@@ -66,6 +72,15 @@ _BITOPS = {"AND": "and", "OR": "or", "XOR": "xor"}
 # taken branch.  Signed variants coincide with the unsigned relations on the
 # value ranges the rules are meant for.
 _CMP_GUARDS = {"GT": "gt", "LT": "lt", "EQ": "eq", "SGT": "gt", "SLT": "lt"}
+# Opcode bytes whose statements depend on nothing but the opcode, the stack
+# top and the immediate: no popped constant, layout, offset or fresh draw.
+# One translation call builds them once per such key and shares them.
+_SHAREABLE = frozenset(
+    code
+    for code, (kind, _) in enumerate(KINDS)
+    if kind in ("push", "dup", "swap", "pop", "jumpdest", "env", "calldatasize")
+    or for_byte(code).mnemonic in (*_BINOPS, *_BITOPS, "NOT")
+)
 
 
 class UnsupportedGuard(EvmRbrError):
@@ -290,6 +305,17 @@ def tau_G(window, state: TranslationState) -> tuple[Guard, Guard]:
 
 def translate_block(block: Block, layout: VarLayout, *, nops: bool = False) -> list[Rule]:
     """Apply the translation to one live block (1 rule, or 3 for JumpI)."""
+    return _translate_block(block, layout, nops, {})
+
+
+def _translate_block(
+    block: Block, layout: VarLayout, nops: bool, shared: dict[tuple, tuple[list[Statement], int]]
+) -> list[Rule]:
+    """``translate_block`` that takes the statements of a ``_SHAREABLE``
+    instruction from ``shared``, keyed by (opcode byte, stack top,
+    immediate), and stores them there on a miss; ``shared`` serves one
+    ``nops`` setting.  A hit needs no underflow check: an equal stack top
+    passed it when the entry was stored."""
     if block.entry_height is None:
         raise ValueError(f"block {block.id} has no entry height (dead?)")
     state = TranslationState(
@@ -327,7 +353,16 @@ def translate_block(block: Block, layout: VarLayout, *, nops: bool = False) -> l
             carried = True
     body: list[Statement] = []
     for ins in instrs[:end]:
-        body.extend(tau(ins, state, layout))
+        code = ins.opcode.code
+        if code in _SHAREABLE:
+            key = (code, state.m, ins.immediate)
+            hit = shared.get(key)
+            if hit is None:
+                hit = shared[key] = (tau(ins, state, layout), state.m)
+            body.extend(hit[0])
+            state.m = hit[1]
+        else:
+            body.extend(tau(ins, state, layout))
     if carried:
         state.m -= 1  # drop the target
     if nops:
@@ -360,9 +395,11 @@ def translate_block(block: Block, layout: VarLayout, *, nops: bool = False) -> l
 
 
 def translate_cfg(cfg: Cfg, *, nops: bool = False) -> list[Rule]:
-    """Translate every live block, sharing one variable layout."""
+    """Translate every live block, sharing one variable layout and one
+    statement memo (see ``_SHAREABLE``)."""
     layout = build_layout(cfg)
+    shared: dict[tuple, tuple[list[Statement], int]] = {}
     rules: list[Rule] = []
     for block in cfg.live_blocks():
-        rules.extend(translate_block(block, layout, nops=nops))
+        rules.extend(_translate_block(block, layout, nops, shared))
     return rules

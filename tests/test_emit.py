@@ -81,6 +81,35 @@ def test_saco_rewrites_bitops():
     assert text.startswith("-- saco\n")
 
 
+def test_saco_numbers_a_shared_statement_per_rule():
+    # One statement object in several rules is rewritten with each rule's
+    # own fresh counter.
+    layout = VarLayout()
+    drawn = Assign("s1", Var("fresh_3"))
+    bitop = Assign("s2", BitOp("and", Var("s1"), Var("s0")))
+    rules = [
+        Rule("block_0", 3, layout, body=[drawn, bitop, bitop]),
+        Rule("block_1", 3, layout, body=[bitop]),
+        Rule("block_2", 3, layout, body=[bitop, drawn]),
+    ]
+    assert export_saco(rules) == (
+        "-- saco\n"
+        "block_0(s0, s1, s2) =>\n  s1 = fresh_3,\n  s2 = fresh_4,\n  s2 = fresh_5\n\n"
+        "block_1(s0, s1, s2) =>\n  s2 = fresh_0\n\n"
+        "block_2(s0, s1, s2) =>\n  s2 = fresh_4,\n  s1 = fresh_3\n"
+    )
+
+
+def test_emit_rules_of_two_layouts():
+    rules = [
+        Rule("block_0", 1, VarLayout(k=0), continuation=Call("block_1", 1)),
+        Rule("block_1", 1, VarLayout(k=1)),
+    ]
+    assert emit_rbr(rules) == (
+        "block_0(s0, g0) =>\n  call(block_1(s0, g0))\n\nblock_1(s0, g0, g1) =>\n"
+    )
+
+
 def test_saco_identity_without_bitops():
     rules = rules_of(ADD_STORE, nops=True)
     assert export_saco(rules) == "-- saco\n" + emit_rbr(rules_of(ADD_STORE))

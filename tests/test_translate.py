@@ -26,6 +26,7 @@ from evmrbr.translate import (
     build_layout,
     tau,
     tau_G,
+    translate_block,
     translate_cfg,
 )
 
@@ -641,3 +642,78 @@ _PINNED_PLAIN_EMISSIONS = {
 def test_plain_emission_is_pinned(name):
     cfgs = _pinned_resolves(name, _TRANSLATED_PROGRAMS[name])
     assert _plain_emission_digest(cfgs) == _PINNED_PLAIN_EMISSIONS[name]
+
+
+# --- statements shared within one translation --------------------------------
+
+@pytest.mark.parametrize("nops", [False, True])
+def test_translate_cfg_equals_translate_block_per_block(nops):
+    programs = [*CORPUS.values(), *(gen_program(random.Random(seed)) for seed in range(8))]
+    for code in programs:
+        cfg = cfg_of(code)
+        layout = build_layout(cfg)
+        per_block = [
+            rule for block in cfg.live_blocks() for rule in translate_block(block, layout, nops=nops)
+        ]
+        assert translate_cfg(cfg, nops=nops) == per_block
+
+
+def _twice_through_a_jump(body) -> bytes:
+    """``body`` on the empty stack, POPs back to it, a jump, and ``body``
+    again on the empty stack: two rules whose bodies start equal."""
+    asm = Asm()
+    for mnemonic, value in body:
+        asm.push(value) if mnemonic == "PUSH" else asm.op(mnemonic)
+    asm.op("POP").op("POP").push_label("next").op("JUMP")
+    asm.label("next").op("JUMPDEST")
+    for mnemonic, value in body:
+        asm.push(value) if mnemonic == "PUSH" else asm.op(mnemonic)
+    asm.op("STOP")
+    return asm.assemble()
+
+
+def test_equal_statements_of_one_translation_are_one_object():
+    body = [("PUSH", 1), ("PUSH", 2), ("ADD", None), ("DUP1", None), ("SWAP1", None)]
+    first, second = rules_of(_twice_through_a_jump(body))
+    assert first.body[:6] == second.body[:6]
+    assert [s.value for s in first.body[:3]] == [Num(1), Num(2), BinOp("+", Var("s1"), Var("s0"))]
+    assert all(a is b for a, b in zip(first.body[:6], second.body[:6]))
+
+
+def test_shared_statements_survive_mutated_lists():
+    push = ins("PUSH1", 7)
+    layout = build_layout(cfg_of(b"\x00"))
+    stmts = tau(push, TranslationState(m=-1), layout)
+    stmts.append(Nop("MUTATED"))
+    assert tau(push, TranslationState(m=-1), layout) == [Assign("s0", Num(7))]
+
+    code = _twice_through_a_jump([("PUSH", 1), ("PUSH", 2), ("ADD", None), ("DUP1", None)])
+    cfg = cfg_of(code)
+    expected = emit_rbr(translate_cfg(cfg))
+    first, second = translate_cfg(cfg)
+    first.body.clear()
+    first.body.append(Assign("s0", Num(99)))
+    assert second.body[:2] == [Assign("s0", Num(1)), Assign("s1", Num(2))]
+    assert emit_rbr(translate_cfg(cfg)) == expected
+
+
+def test_constant_reads_and_fresh_draws_are_not_shared():
+    # SLOAD at keys 0 and 1, CALLDATALOAD at a constant and an unknown
+    # offset, and two opaque results: each pair at the same stack top.
+    asm = Asm()
+    asm.push(0).op("SLOAD").op("POP")
+    asm.push(0).op("CALLDATALOAD").op("POP")
+    asm.op("CALLER").op("BALANCE").op("POP")
+    asm.push_label("next").op("JUMP")
+    asm.label("next").op("JUMPDEST")
+    asm.push(1).op("SLOAD").op("POP")
+    asm.op("CALLER").op("CALLDATALOAD").op("POP")
+    asm.op("CALLER").op("BALANCE").op("POP")
+    asm.op("CALLER").op("BALANCE").op("STOP")
+    first, second = rules_of(asm.assemble())
+    reads = [s for s in first.body + second.body if s.target == "s0" and not isinstance(s.value, Num)]
+    assert [s.value for s in reads] == [
+        Var("g0"), Var("md0"), Var("caller"), Var("fresh_0"),
+        Var("g1"), Var("caller"), Var("fresh_0"), Var("caller"), Var("fresh_1"),
+        Var("caller"), Var("fresh_2"),
+    ]
