@@ -47,13 +47,16 @@ from .rbr import (
 )
 
 _BIN_OPS = "+-*/%^"
-_ASSIGN_TARGET = re.compile(r"^(?:[sgl]\d+|gl|ll|gs[12]|ls[12]|fresh_\d+)$")
+# Numerals are ASCII decimal and only ASCII whitespace separates tokens, so
+# every pattern using \d or \s is compiled with re.A (re.ASCII).
+_SPACE = " \t\n\r\f\v"  # what \s matches under re.A
+_ASSIGN_TARGET = re.compile(r"^(?:[sgl]\d+|gl|ll|gs[12]|ls[12]|fresh_\d+)$", re.A)
 _RULE_ID = re.compile(r"(block|jump)_([0-9]+)(?:_c([0-9]+))?")
 _FRESH = re.compile(r"fresh_([0-9]+)")
-_LMAP_LINE = re.compile(r"^--\s*lmap:\s*(.*?)\s*$", re.M)
-_LMAP_ENTRY = re.compile(r"^(\d+)\s*->\s*l(\d+)$")
-_MD_LINE = re.compile(r"^--\s*md:\s*(.*?)\s*$", re.M)
-_MD_ENTRY = re.compile(r"^md(\d+)\s*=\s*calldata\[(\d+)\]$")
+_LMAP_LINE = re.compile(r"^--\s*lmap:\s*(.*?)\s*$", re.M | re.A)
+_LMAP_ENTRY = re.compile(r"^(\d+)\s*->\s*l(\d+)$", re.A)
+_MD_LINE = re.compile(r"^--\s*md:\s*(.*?)\s*$", re.M | re.A)
+_MD_ENTRY = re.compile(r"^md(\d+)\s*=\s*calldata\[(\d+)\]$", re.A)
 
 # Whitespace and comments between tokens.  A comment must run to the end of
 # its line, so a failed match cannot resume inside one.
@@ -61,19 +64,19 @@ _SKIP = r"\s*(?:--[^\n]*(?![^\n])\s*)*"
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 # Groups: 1 "=>", 2 name, 3 numeral, 4 punctuation; none at the end of text.
-_TOKEN = re.compile(_SKIP + rf"(?:(=>)|({_NAME})|(\d+)|([(),|=+\-*/%^])|\Z)")
+_TOKEN = re.compile(_SKIP + rf"(?:(=>)|({_NAME})|(\d+)|([(),|=+\-*/%^])|\Z)", re.A)
 _KINDS = {None: "eof", 2: "name", 3: "num"}  # else the token text is its kind
-_NEXT = {"(": re.compile(_SKIP + r"\("), "=": re.compile(_SKIP + r"=(?!>)")}
+_NEXT = {"(": re.compile(_SKIP + r"\(", re.A), "=": re.compile(_SKIP + r"=(?!>)", re.A)}
 # Comments and arrows may hold any character; outside them these begin no token.
 _COMMENT_OR_ARROW = re.compile(r"--[^\n]*|=>")
-_OTHER = re.compile(r"[^\s\dA-Za-z_(),|=+\-*/%^]")
+_OTHER = re.compile(r"[^\s\dA-Za-z_(),|=+\-*/%^]", re.A)
 # A whole name list without comments; any other list takes the token path.
-_NAME_LIST = re.compile(_SKIP + rf"\(\s*((?:{_NAME}\s*,\s*)*{_NAME})?\s*\)")
+_NAME_LIST = re.compile(_SKIP + rf"\(\s*((?:{_NAME}\s*,\s*)*{_NAME})?\s*\)", re.A)
 # An assignment in the spacing emit_rbr writes, ended by a comma: the key of
 # the statement memo.  Group 1 is the statement text.
 _ATOM = rf"(?:{_NAME}|\d+)"
 _MEMO_KEY = re.compile(_SKIP + rf"({_NAME} = (?:(?:and|or|xor)\({_ATOM}, {_ATOM}\)"
-                       rf"|not\({_ATOM}\)|{_ATOM}(?: [{re.escape(_BIN_OPS)}] {_ATOM})?))(?=,)")
+                       rf"|not\({_ATOM}\)|{_ATOM}(?: [{re.escape(_BIN_OPS)}] {_ATOM})?))(?=,)", re.A)
 
 
 def _error(text: str, offset: int, what: str) -> RbrSyntaxError:
@@ -96,9 +99,9 @@ def _header_table(text: str, line_re, entry_re, groups) -> list[tuple[int, ...]]
     if match:
         offset = match.start(1)
         for part in match.group(1).split(","):
-            entry = entry_re.match(part.strip())
+            entry = entry_re.match(part.strip(_SPACE))
             if entry:
-                at = offset + len(part) - len(part.lstrip())
+                at = offset + len(part) - len(part.lstrip(_SPACE))
                 table.append(tuple(
                     _numeral(text, at + entry.start(i), entry.group(i)) for i in groups
                 ))
@@ -210,7 +213,7 @@ def _indexed_name(parser, pattern, name: str, at: int, what: str):
     if match is None:
         raise parser.fail(what, at)
     for group, digits in enumerate(match.groups(), 1):
-        if digits and digits.isdigit():
+        if digits and digits.isascii() and digits.isdigit():
             _numeral(parser.text, at + match.start(group), digits)
     return match
 
@@ -237,7 +240,7 @@ def _layout_from_params(rest, lmap, md_offsets, parser, at) -> VarLayout:
     locals_ = run("l")
     md = run("md")
     named = tuple(rest[pos:])
-    if any(n.startswith(("s", "g", "l", "md")) and n[-1].isdigit() for n in named):
+    if any(n.startswith(("s", "g", "l", "md")) and n[-1] in "0123456789" for n in named):
         raise parser.fail("parameters in canonical order", at)
     if len(set(named)) != len(named):
         raise parser.fail("distinct parameter names", at)
