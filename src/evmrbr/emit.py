@@ -57,9 +57,9 @@ class _Printer:
     """Renders the rules of one ``emit_rbr`` call, printing each distinct
     argument list and statement once.
 
-    An argument list is keyed by (layout, stack count).  Statements are keyed by identity: one
-    ``translate_cfg`` call builds equal statements as one object, and the
-    rules keep every key alive while the call runs.
+    An argument list is keyed by (layout, stack count).  Statements are
+    keyed by identity: one ``translate_cfg`` call builds equal statements
+    as one object, and the rules keep every key alive while the call runs.
     """
 
     def __init__(self, nops: bool):

@@ -130,11 +130,12 @@ def test_saco_fresh_indices_continue():
     reparsed = parse_rbr(text)
     for rule in reparsed:
         fresh = [
-            int(s.target[6:])
+            int(s.value.name[6:])
             for s in rule.body
-            if isinstance(s, Assign) and s.target.startswith("fresh_")
+            if isinstance(s.value, Var) and s.value.name.startswith("fresh_")
         ]
         assert fresh == sorted(set(fresh))
+    assert fresh == [0, 1]  # BITOPS is one rule with an and and an or
 
 
 def test_saco_keeps_arithmetic():

@@ -662,13 +662,17 @@ def _twice_through_a_jump(body) -> bytes:
     """``body`` on the empty stack, POPs back to it, a jump, and ``body``
     again on the empty stack: two rules whose bodies start equal."""
     asm = Asm()
-    for mnemonic, value in body:
-        asm.push(value) if mnemonic == "PUSH" else asm.op(mnemonic)
-    asm.op("POP").op("POP").push_label("next").op("JUMP")
-    asm.label("next").op("JUMPDEST")
-    for mnemonic, value in body:
-        asm.push(value) if mnemonic == "PUSH" else asm.op(mnemonic)
-    asm.op("STOP")
+    for at_end in (False, True):
+        for mnemonic, value in body:
+            if mnemonic == "PUSH":
+                asm.push(value)
+            else:
+                asm.op(mnemonic)
+        if at_end:
+            asm.op("STOP")
+        else:
+            asm.op("POP").op("POP").push_label("next").op("JUMP")
+            asm.label("next").op("JUMPDEST")
     return asm.assemble()
 
 
