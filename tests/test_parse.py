@@ -126,6 +126,8 @@ def test_parse_accepts_comments_anywhere():
     rules = parse_rbr("block_0(g0, -- c\n g1) => s0 = g1 -- x\n + 2")
     assert rules[0].layout.param_names() == ["g0", "g1"]
     assert rules[0].body == [Assign("s0", BinOp("+", Var("g1"), Num(2)))]
+    rules = parse_rbr("block_0() => s0 = 1 -- \u0663 \xa0 > $\n")
+    assert rules[0].body == [Assign("s0", Num(1))]
 
 
 # Positions as the token-list parser reported them before the lazy rewrite.
@@ -160,6 +162,15 @@ def test_parse_accepts_comments_anywhere():
         ("block_0() => call(frob_1())", 1, 19, "a block_/jump_ callee"),
         ("block_0() => call -- (block_1())\n", 1, 14, "block_* or jump_* rule name"),
         ("block_0(g0 -- ) => s0 = 1", 1, 26, "')'"),
+        # The first bad character outside comments and arrows.
+        ("block_0() => s0 = 1 -- a > b $\n, s0 = 2 $", 2, 10, "a token (found '$')"),
+        ("block_0() => s0 = 1\n-->\n>", 3, 1, "a token (found '>')"),
+        ("block_0() = > s0 = 1", 1, 13, "a token (found '>')"),
+        (">block_0() => s0 = 1", 1, 1, "a token (found '>')"),
+        (">block_0() => s0 = 1 =", 1, 1, "a token (found '>')"),
+        ("block_0() =>=> s0 = 1 $", 1, 23, "a token (found '$')"),
+        ("block_0() => s0 = 1 ->", 1, 22, "a token (found '>')"),
+        ("block_0() ==> s0 = 1", 1, 11, "'=>'"),
     ],
 )
 def test_parse_error_positions(text, line, column, expected):
@@ -312,6 +323,96 @@ def test_parse_repeated_statement_outcomes(text, outcome):
     line, column, expected = outcome
     assert (err.value.line, err.value.column, err.value.expected) == (
         line, column, expected.format(d=INT_DIGITS))
+
+
+# Lists and statements outside the emitted spacing, and texts that repeat a
+# list or statement in another role or after a failure: each outcome is the
+# canonical text of the parsed rules, or the error's (line, column, expected).
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        # A list broken by a comment, a newline or extra spaces.
+        ("block_0(g0, g1) => s0 = 1\n\nblock_1(g0, -- c\n g1) => s0 = 2",
+         "block_0(g0, g1) =>\n  s0 = 1\n\nblock_1(g0, g1) =>\n  s0 = 2\n"),
+        ("block_0(g0, g1) => call(block_1(g0, -- c\n g1))",
+         "block_0(g0, g1) =>\n  call(block_1(g0, g1))\n"),
+        ("block_0(g0,\n g1) =>\n  call(block_1(g0,\ng1))",
+         "block_0(g0, g1) =>\n  call(block_1(g0, g1))\n"),
+        ("block_0( g0,  g1 ) => call(block_1(g0 , g1))",
+         "block_0(g0, g1) =>\n  call(block_1(g0, g1))\n"),
+        ("block_0() => call(block_1())\n\nblock_1( ) => s0 = 1",
+         "block_0() =>\n  call(block_1())\n\nblock_1() =>\n  s0 = 1\n"),
+        # A ')' inside a comment does not end the list.
+        ("block_0(g0 -- )\n, g1) => s0 = 1", "block_0(g0, g1) =>\n  s0 = 1\n"),
+        ("block_0(g0, g1) => s0 = 1\n\nblock_1(g0 -- )\n) => s0 = 2",
+         (3, 1, "parameters consistent across rules")),
+        # A malformed list text before or after the well-formed one.
+        ("block_0(g0,, g1) => s0 = 1\n\nblock_1(g0, g1) => s0 = 2", (1, 12, "a variable name")),
+        ("block_0(g0, g1) => s0 = 1\n\nblock_1(g0,, g1) => s0 = 2", (3, 12, "a variable name")),
+        ("block_0(g0, g1) => call(block_1(g0,, g1))", (1, 36, "a variable name")),
+        ("block_0(g0, g1) => call(block_1(g0, g1,))", (1, 40, "a variable name")),
+        # One list text as a head and as a call, in either order.
+        ("block_0(s0, g0) => call(block_1(s0, g0))",
+         "block_0(s0, g0) =>\n  call(block_1(s0, g0))\n"),
+        ("block_0(g0) => call(block_1(s0, g0))\n\nblock_1(s0, g0) => s0 = 1",
+         "block_0(g0) =>\n  call(block_1(s0, g0))\n\nblock_1(s0, g0) =>\n  s0 = 1\n"),
+        # A call spaced otherwise.
+        ("block_0(g0) => call (block_1(g0))", "block_0(g0) =>\n  call(block_1(g0))\n"),
+        ("block_0(g0) => s0 = 1, call (block_1 (g0) )",
+         "block_0(g0) =>\n  s0 = 1,\n  call(block_1(g0))\n"),
+        ("jump_0(s0, g0) => eq(s0, 0) | call(block_1(g0))\n\n"
+         "jump_0(s0, g0) => neq(s0, 0) | call (block_2(g0))",
+         "jump_0(s0, g0) =>\n  eq(s0, 0) | call(block_1(g0))\n\n"
+         "jump_0(s0, g0) =>\n  neq(s0, 0) | call(block_2(g0))\n"),
+        ("block_0(g0) => s0 = 1, call(frob_1(g0))", (1, 29, "a block_/jump_ callee")),
+        # A non-canonical list of the canonical one's length.
+        ("block_0(g0, g1) => s0 = 1\n\nblock_1(g1, g0) => s0 = 2",
+         (3, 1, "parameters consistent across rules")),
+        ("block_0(s0, g0) => s0 = 1\n\nblock_1(s1, g0) => s0 = 2",
+         (3, 1, "parameters consistent across rules")),
+        ("block_0(g0, g1) => call(block_1(g1, g0))", (1, 25, "canonical call arguments")),
+        # A statement run broken by a comment or a nop marker, or spaced otherwise.
+        ("block_0() => s0 = 1, -- c\n s0 = 1, s0 = 1 -- d\n, s0 = 1",
+         "block_0() =>\n  s0 = 1,\n  s0 = 1,\n  s0 = 1,\n  s0 = 1\n"),
+        ("block_0() => s0 = 1, nop(ADD), s0 = 1, nop(ADD), s0 = 1",
+         "block_0() =>\n  s0 = 1,\n  nop(ADD),\n  s0 = 1,\n  nop(ADD),\n  s0 = 1\n"),
+        ("block_0() => s0 = 1,s0 = 1,  s0 = 1", "block_0() =>\n  s0 = 1,\n  s0 = 1,\n  s0 = 1\n"),
+        ("block_0() => s0 = 1,, s0 = 1", (1, 21, "a statement or call")),
+        # Halting rules whose last statement has no comma.
+        ("block_0() => s0 = 1, s1 = 2\n\nblock_1() => s1 = 2, s0 = 1",
+         "block_0() =>\n  s0 = 1,\n  s1 = 2\n\nblock_1() =>\n  s1 = 2,\n  s0 = 1\n"),
+        ("block_0(g0) => s0 = 1, call(block_1(g0)) block_1(g0) => s0 = 1",
+         "block_0(g0) =>\n  s0 = 1,\n  call(block_1(g0))\n\nblock_1(g0) =>\n  s0 = 1\n"),
+        # A statement after the call.
+        ("block_0(g0) => s0 = 1, call(block_1(g0)), s0 = 1", (1, 41, "the call to end the rule")),
+        ("block_0(g0) => call(block_1(g0)),\n  s0 = 1", (1, 33, "the call to end the rule")),
+    ],
+)
+def test_parse_list_and_statement_outcomes(text, outcome):
+    if isinstance(outcome, str):
+        assert emit_rbr(parse_rbr(text)) == outcome
+        return
+    with pytest.raises(RbrSyntaxError) as err:
+        parse_rbr(text)
+    assert (err.value.line, err.value.column, err.value.expected) == outcome
+
+
+def test_parse_carries_no_state_across_calls():
+    def error_of(text):
+        with pytest.raises(RbrSyntaxError) as err:
+            parse_rbr(text)
+        return err.value.line, err.value.column, err.value.expected
+
+    failing = "block_0(g0, g1) => s0 = 1\n\nblock_1(g0,, g1) => s0 = 1"
+    assert error_of(failing) == (3, 12, "a variable name")
+    parse_rbr("block_0(g0, g1) => s0 = 1, call(block_1(g0, g1))\n\nblock_1(g0, g1) => s0 = 1")
+    assert error_of(failing) == (3, 12, "a variable name")
+    # A list accepted under one text's parameters is checked again under the next.
+    parse_rbr("block_0(g0) => call(block_1(g0))")
+    assert error_of("block_0(g0, g1) => call(block_1(g0))") == (1, 25, "canonical call arguments")
+    assert error_of("block_0() => s0 = 1, x0 = 1") == (1, 22, "a stack/field/local/rule-local target")
+    parse_rbr("block_0() => s0 = 1, s0 = 1")
+    assert error_of("block_0() => s0 = 1, x0 = 1") == (1, 22, "a stack/field/local/rule-local target")
 
 
 def test_roundtrip_recovers_layout_tables():
