@@ -5,21 +5,31 @@ structurally equal to the rules the text was emitted from.  The layout
 header comments (``-- lmap:`` / ``-- md:``) are read back so the address
 tables survive the round trip.
 
-The text is read in one lazy pass: the parser scans the next token from
-the text at its current offset when it needs it, and matches a whole
-parameter or argument list with one regular expression.  Line and column
-are computed from the offset only when an error is raised.  One scan up
-front finds the first character outside the token set, so a bad character
-is reported even when a grammar error comes before it.
+The text is read in one lazy pass.  Line and column are computed from the
+offset only when an error is raised.  One search loop up front finds the
+first character outside comments that begins no token (a ``>`` only ends
+an arrow), so a bad character is reported even when a grammar error comes
+before it.
 
-Emitted programs repeat few statement texts many times, so each
-``parse_rbr`` call keeps a memo from statement text to its ``Assign``.  A
-body item that matches an assignment in the emitted spacing followed by a
-comma is looked up there; on a miss the token path parses it, and the result
-is stored if that parse ended where the match did.  The comma ends the
-statement for the token path too, so equal texts parse equal.  A failed
-parse is never stored, so every error comes from the token path at its own
-offset.
+The token path scans the next token at the current offset when it needs
+it.  It is the only source of errors.  The shape ``emit_rbr`` writes is
+read in larger units, each of which either stands for exactly what the
+token path would read there or falls back to it at the same offset:
+
+* A parameter or argument list runs to the first ``)``.  Each
+  ``parse_rbr`` call keeps a memo from the text inside the parentheses to
+  its stack count and other names; a text that is not a plain name list
+  (a comment, say) is stored as such and takes the token path.  Emitted
+  programs have one list text per stack height.
+* A body statement in the emitted spacing is read together with its comma
+  by one match, and its text is looked up in a memo of ``Assign``s.  On a
+  miss the token path parses it at the same offset, and the result is
+  stored if that parse ended where the unit did.
+* A call is read up to its argument list by one match, and each rule or
+  callee name is checked once per call of ``parse_rbr``.
+
+Every memo lives in one ``_Parser``, so nothing is carried from one
+``parse_rbr`` call to the next.
 """
 
 from __future__ import annotations
@@ -67,16 +77,15 @@ _NAME_RE = re.compile(_NAME)
 _TOKEN = re.compile(_SKIP + rf"(?:(=>)|({_NAME})|(\d+)|([(),|=+\-*/%^])|\Z)", re.A)
 _KINDS = {None: "eof", 2: "name", 3: "num"}  # else the token text is its kind
 _NEXT = {"(": re.compile(_SKIP + r"\(", re.A), "=": re.compile(_SKIP + r"=(?!>)", re.A)}
-# Comments and arrows may hold any character; outside them these begin no token.
-_COMMENT_OR_ARROW = re.compile(r"--[^\n]*|=>")
-_OTHER = re.compile(r"[^\s\dA-Za-z_(),|=+\-*/%^]", re.A)
-# A whole name list without comments; any other list takes the token path.
-_NAME_LIST = re.compile(_SKIP + rf"\(\s*((?:{_NAME}\s*,\s*)*{_NAME})?\s*\)", re.A)
-# An assignment in the spacing emit_rbr writes, ended by a comma: the key of
-# the statement memo.  Group 1 is the statement text.
+# Outside comments these begin no token; ">" stands only in "=>".
+_COMMENT_OR_BAD = re.compile(r"--[^\n]*|[^\s\dA-Za-z_(),|=+\-*/%^]", re.A)
+# An assignment in the spacing emit_rbr writes, with its comma: one unit of
+# a body.  Group 1 is the statement text, the key of the statement memo.
 _ATOM = rf"(?:{_NAME}|\d+)"
-_MEMO_KEY = re.compile(_SKIP + rf"({_NAME} = (?:(?:and|or|xor)\({_ATOM}, {_ATOM}\)"
-                       rf"|not\({_ATOM}\)|{_ATOM}(?: [{re.escape(_BIN_OPS)}] {_ATOM})?))(?=,)", re.A)
+_UNIT = re.compile(_SKIP + rf"({_NAME} = (?:(?:and|or|xor)\({_ATOM}, {_ATOM}\)"
+                   rf"|not\({_ATOM}\)|{_ATOM}(?: [{re.escape(_BIN_OPS)}] {_ATOM})?)),", re.A)
+# A call up to its argument list; group 1 is the callee.
+_CALL = re.compile(_SKIP + rf"call\(({_NAME})(?=\()", re.A)
 
 
 def _error(text: str, offset: int, what: str) -> RbrSyntaxError:
@@ -123,6 +132,8 @@ class _Parser:
         self.scanned = -1  # the ``pos`` the current token was scanned from
         self.layout: VarLayout | None = None
         self.params: list[str] = []  # layout.param_names(), built once
+        self.lists: dict[str, tuple] = {}  # the list memo, see name_list
+        self.rule_ids: set[str] = set()  # rule and callee names checked so far
         self.statements: dict[str, Assign] = {}  # the statement memo
 
     def peek(self) -> str:
@@ -145,6 +156,13 @@ class _Parser:
             raise self.fail(what)
         return self.advance()
 
+    def take(self, punct: str) -> None:
+        """Consume ``(`` or ``)`` where it stands, else as the next token."""
+        if self.text.startswith(punct, self.pos):
+            self.pos += 1
+        else:
+            self.expect(punct, f"'{punct}'")
+
     def next_is(self, kind: str) -> bool:
         """Whether the token after the current one is ``(`` or ``=``."""
         self.peek()
@@ -154,12 +172,23 @@ class _Parser:
         self.peek()
         return _error(self.text, self.start if offset is None else offset, what)
 
-    def name_list(self) -> list[str]:
-        match = _NAME_LIST.match(self.text, self.pos)
-        if match:
-            self.pos = match.end()
-            return _NAME_RE.findall(match.group(1) or "")
-        self.expect("(", "'('")
+    def name_list(self) -> tuple[int, list[str]]:
+        """The stack count and the other names of the parenthesised list.
+
+        The text up to the first ``)`` is looked up in the list memo; a
+        text that is not a plain name list takes the token path.
+        """
+        text = self.text
+        self.take("(")
+        end = text.find(")", self.pos)
+        if end >= 0:
+            key = text[self.pos:end]
+            split = self.lists.get(key)
+            if split is None:
+                split = self.lists[key] = _plain_list(key)
+            if split:
+                self.pos = end + 1
+                return split
         names = []
         if self.peek() != ")":
             while True:
@@ -168,17 +197,41 @@ class _Parser:
                     break
                 self.advance()
         self.expect(")", "')'")
-        return names
+        return _split_stack_run(names)
+
+
+def _plain_list(text: str) -> tuple:
+    """``_split_stack_run`` of ``text`` if it is a comma-separated list of
+    names without comments, else ``()``."""
+    if not text.strip(_SPACE):
+        return 0, []
+    names = [part.strip(_SPACE) for part in text.split(",")]
+    if all(_NAME_RE.fullmatch(name) for name in names):
+        return _split_stack_run(names)
+    return ()
+
+
+def _first_bad_character(text: str) -> int:
+    """The offset of the first character outside comments that begins no
+    token (a ``>`` after ``=`` ends an arrow), or -1."""
+    at = 0
+    while True:
+        match = _COMMENT_OR_BAD.search(text, at)
+        if match is None:
+            return -1
+        at, start = match.end(), match.start()
+        char = text[start]
+        if char != "-" and (char != ">" or not start or text[start - 1] != "="):
+            return start
 
 
 def parse_rbr(text: str) -> list[Rule]:
     """Parse rule text; raises RbrSyntaxError outside the grammar."""
     lmap = dict(_header_table(text, _LMAP_LINE, _LMAP_ENTRY, (1, 2)))
     md_offsets = tuple(off for off, in _header_table(text, _MD_LINE, _MD_ENTRY, (2,)))
-    # Blank out comments and arrows, keeping offsets, and look for what is left.
-    bad = _OTHER.search(_COMMENT_OR_ARROW.sub(lambda m: " " * len(m.group()), text))
-    if bad:
-        raise _error(text, bad.start(), f"a token (found {text[bad.start()]!r})")
+    bad = _first_bad_character(text)
+    if bad >= 0:
+        raise _error(text, bad, f"a token (found {text[bad]!r})")
     parser = _Parser(text)
     rules: list[Rule] = []
     while parser.peek() != "eof":
@@ -189,8 +242,8 @@ def parse_rbr(text: str) -> list[Rule]:
 def _parse_rule(parser, lmap, md_offsets) -> Rule:
     name = parser.expect("name", "a rule name")
     at = parser.start
-    rule_id = _indexed_name(parser, _RULE_ID, name, at, "block_* or jump_* rule name")
-    stack_count, rest = _split_stack_run(parser.name_list())
+    _check_rule_id(parser, name, at, "block_* or jump_* rule name")
+    stack_count, rest = parser.name_list()
     parser.expect("=>", "'=>'")
 
     if parser.layout is None:
@@ -199,23 +252,30 @@ def _parse_rule(parser, lmap, md_offsets) -> Rule:
     elif rest != parser.params:
         raise parser.fail("parameters consistent across rules", at)
 
-    if rule_id.group(1) == "jump":
+    if name.startswith("jump"):
         guard = _parse_guard(parser)
         parser.expect("|", "'|'")
-        return Rule(name, stack_count, parser.layout, guard, [], _parse_call(parser))
+        call = _parse_call(parser, _CALL.match(parser.text, parser.pos))
+        return Rule(name, stack_count, parser.layout, guard, [], call)
     body, call = _parse_body(parser)
     return Rule(name, stack_count, parser.layout, None, body, call)
 
 
-def _indexed_name(parser, pattern, name: str, at: int, what: str):
-    """``name`` matched in full by ``pattern``, each digit group int-sized."""
+def _indexed_name(parser, pattern, name: str, at: int, what: str) -> None:
+    """Check that ``pattern`` matches ``name`` in full, each digit group int-sized."""
     match = pattern.fullmatch(name)
     if match is None:
         raise parser.fail(what, at)
     for group, digits in enumerate(match.groups(), 1):
         if digits and digits.isascii() and digits.isdigit():
             _numeral(parser.text, at + match.start(group), digits)
-    return match
+
+
+def _check_rule_id(parser, name: str, at: int, what: str) -> None:
+    """Check ``name`` as ``(block|jump)_<pc>[_c<n>]``, once per parse."""
+    if name not in parser.rule_ids:
+        _indexed_name(parser, _RULE_ID, name, at, what)
+        parser.rule_ids.add(name)
 
 
 def _split_stack_run(params: list[str]) -> tuple[int, list[str]]:
@@ -260,48 +320,48 @@ def _layout_from_params(rest, lmap, md_offsets, parser, at) -> VarLayout:
 
 
 def _parse_body(parser) -> tuple[list[Statement], Call | None]:
+    text, statements = parser.text, parser.statements
     body: list[Statement] = []
-    call: Call | None = None
-
-    def parse_item(required: bool) -> bool:
-        nonlocal call
-        key = _MEMO_KEY.match(parser.text, parser.pos)
-        if key:
-            stmt = parser.statements.get(key.group(1))
+    required = False  # a comma came before this item
+    while True:
+        unit = _UNIT.match(text, parser.pos)
+        if unit:
+            end = unit.end(1)
+            stmt = statements.get(unit.group(1))
             if stmt is None:
                 stmt = _parse_assign(parser)
-                if parser.pos == key.end():
-                    parser.statements[key.group(1)] = stmt
+                if parser.pos == end:
+                    statements[unit.group(1)] = stmt
             else:
-                parser.pos = key.end()
+                parser.pos = end
             body.append(stmt)
-            return True
-        if parser.peek() == "name":
-            word = parser.value
-            if word == "call" and parser.next_is("("):
-                call = _parse_call(parser)
-                return True
+            if parser.pos == end:
+                parser.pos = end + 1  # the unit's comma
+                required = True
+                continue
+        else:
+            fast = _CALL.match(text, parser.pos)
+            word = parser.value if fast is None and parser.peek() == "name" else None
+            if fast or word == "call" and parser.next_is("("):
+                call = _parse_call(parser, fast)
+                if parser.peek() == ",":
+                    raise parser.fail("the call to end the rule")
+                return body, call
             if word == "nop" and parser.next_is("("):
                 parser.advance()
                 parser.expect("(", "'('")
                 body.append(Nop(parser.expect("name", "a mnemonic")))
                 parser.expect(")", "')'")
-                return True
-            if parser.next_is("="):
+            elif word is not None and parser.next_is("="):
                 body.append(_parse_assign(parser))
-                return True
-        if required:
-            raise parser.fail("a statement or call")
-        return False  # empty body: here starts the next rule (or eof)
-
-    if not parse_item(required=False):
-        return body, call
-    while parser.peek() == ",":
-        if call is not None:
-            raise parser.fail("the call to end the rule")
+            elif required:
+                raise parser.fail("a statement or call")
+            else:
+                return body, None  # empty body: here starts the next rule (or eof)
+        if parser.peek() != ",":
+            return body, None
         parser.advance()
-        parse_item(required=True)
-    return body, call
+        required = True
 
 
 def _parse_assign(parser) -> Assign:
@@ -360,15 +420,20 @@ def _parse_guard(parser) -> Guard:
     return Guard(relation, lhs, rhs)
 
 
-def _parse_call(parser) -> Call:
-    if parser.expect("name", "'call'") != "call":
-        raise parser.fail("'call'", parser.start)
-    parser.expect("(", "'('")
-    target = parser.expect("name", "a callee name")
-    at = parser.start
-    _indexed_name(parser, _RULE_ID, target, at, "a block_/jump_ callee")
-    stack_count, rest = _split_stack_run(parser.name_list())
-    parser.expect(")", "')'")
+def _parse_call(parser, fast) -> Call:
+    """The call at ``pos``; ``fast`` is ``_CALL``'s match there, if any."""
+    if fast:
+        parser.pos = fast.end()
+        target, at = fast.group(1), fast.start(1)
+    else:
+        if parser.expect("name", "'call'") != "call":
+            raise parser.fail("'call'", parser.start)
+        parser.expect("(", "'('")
+        target = parser.expect("name", "a callee name")
+        at = parser.start
+    _check_rule_id(parser, target, at, "a block_/jump_ callee")
+    stack_count, rest = parser.name_list()
+    parser.take(")")
     if rest != parser.params:
         raise parser.fail("canonical call arguments", at)
     return Call(target, stack_count)
