@@ -33,7 +33,8 @@ Statements are immutable, so rule bodies may share them: one
 ``translate_cfg`` call builds the statements of a PUSH, DUP, SWAP, POP,
 JUMPDEST, arithmetic, bit operation or environment read once per (opcode,
 stack top, immediate) and puts the same objects in every rule that needs
-them.  ``tau`` itself returns new statements on every call.
+them.  ``tau`` itself returns new statements on every call, except that
+every ``nop`` marker of one opcode is one object.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ _SHAREABLE = frozenset(
     if kind in ("push", "dup", "swap", "pop", "jumpdest", "env", "calldatasize")
     or for_byte(code).mnemonic in (*_BINOPS, *_BITOPS, "NOT")
 )
+# Opcode byte -> its nop marker, shared by every rule that leaves one.
+_NOPS = [Nop(for_byte(code).mnemonic) for code in range(256)]
 
 
 class UnsupportedGuard(EvmRbrError):
@@ -171,7 +174,7 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
         raise StackUnderflow(state.block_id, instr.offset)
     popped = state.consts.get(instr.offset, (None,) * op.delta)
 
-    stmts: list[Statement] = [Nop(name)] if state.nops else []
+    stmts: list[Statement] = [_NOPS[op.code]] if state.nops else []
     kind, arg = KINDS[op.code]
     if kind == "push":
         stmts.append(Assign(_s(m + 1), Num(instr.immediate)))
@@ -366,7 +369,7 @@ def _translate_block(
     if carried:
         state.m -= 1  # drop the target
     if nops:
-        body.extend(Nop(ins.mnemonic) for ins in instrs[end:])
+        body.extend(_NOPS[ins.opcode.code] for ins in instrs[end:])
 
     if not isinstance(term, JumpI):
         cont = None if isinstance(term, Halt) else Call(f"block_{term.target}", state.m + 1)

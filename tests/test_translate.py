@@ -684,6 +684,12 @@ def test_equal_statements_of_one_translation_are_one_object():
     assert all(a is b for a, b in zip(first.body[:6], second.body[:6]))
 
 
+def test_nop_markers_are_one_object_per_mnemonic():
+    for code in (*CORPUS.values(), gen_program(random.Random(5))):
+        markers = [s for r in rules_of(code, nops=True) for s in r.body if isinstance(s, Nop)]
+        assert len({id(s) for s in markers}) <= len({s.mnemonic for s in markers})
+
+
 def test_shared_statements_survive_mutated_lists():
     push = ins("PUSH1", 7)
     layout = build_layout(cfg_of(b"\x00"))
