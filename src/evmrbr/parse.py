@@ -77,8 +77,9 @@ _NAME_RE = re.compile(_NAME)
 _TOKEN = re.compile(_SKIP + rf"(?:(=>)|({_NAME})|(\d+)|([(),|=+\-*/%^])|\Z)", re.A)
 _KINDS = {None: "eof", 2: "name", 3: "num"}  # else the token text is its kind
 _NEXT = {"(": re.compile(_SKIP + r"\(", re.A), "=": re.compile(_SKIP + r"=(?!>)", re.A)}
-# Outside comments these begin no token; ">" stands only in "=>".
-_COMMENT_OR_BAD = re.compile(r"--[^\n]*|[^\s\dA-Za-z_(),|=+\-*/%^]", re.A)
+# Outside comments these begin no token, except "-" (also the start of a
+# comment) and the ">" of "=>".  One character class, so search is fast.
+_SUSPECT = re.compile(r"[^\s\dA-Za-z_(),|=+*/%^]", re.A)
 # An assignment in the spacing emit_rbr writes, with its comma: one unit of
 # a body.  Group 1 is the statement text, the key of the statement memo.
 _ATOM = rf"(?:{_NAME}|\d+)"
@@ -216,12 +217,18 @@ def _first_bad_character(text: str) -> int:
     token (a ``>`` after ``=`` ends an arrow), or -1."""
     at = 0
     while True:
-        match = _COMMENT_OR_BAD.search(text, at)
+        match = _SUSPECT.search(text, at)
         if match is None:
             return -1
-        at, start = match.end(), match.start()
+        start = match.start()
         char = text[start]
-        if char != "-" and (char != ">" or not start or text[start - 1] != "="):
+        if char == "-" and text.startswith("--", start):
+            at = text.find("\n", start)  # past the comment
+            if at < 0:
+                return -1
+        elif char == "-" or char == ">" and start and text[start - 1] == "=":
+            at = start + 1
+        else:
             return start
 
 
