@@ -210,7 +210,7 @@ def _simulate(block: Block, entry: tuple[AbstractValue, ...]):
         kind, delta, arg = effects[op.code]
         if len(stack) < delta:
             raise _Underflow(offset)
-        popped = tuple(stack[-1 : -delta - 1 : -1])
+        popped = tuple(stack[-1 : -delta - 1 : -1]) if delta else ()
         consts.append(popped)
         if kind == "push":
             stack.append(immediate)
@@ -265,8 +265,19 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
     # (variant key, or the refused pc for a clone-cap record; reason), in
     # the order first found.
     unresolved: dict[tuple[tuple[int, int] | str, str], None] = {}
+    # (pc, entry stack) -> continuation(); the worklist reaches many blocks
+    # again from an entry it has simulated before.
+    simulated: dict[tuple[int, tuple], tuple] = {}
 
     def continuation(block: Block, entry: tuple) -> tuple:
+        """``_continuation`` once per (block, entry stack) of this call."""
+        key = (block.start_pc, entry)
+        found = simulated.get(key)
+        if found is None:
+            found = simulated[key] = _continuation(block, entry)
+        return found
+
+    def _continuation(block: Block, entry: tuple) -> tuple:
         """Simulate the block from ``entry``: (consts, the resolved
         continuation, the exit stack handed to successors).  An entry stack
         that underflows gives no consts and a ``fault`` continuation."""
@@ -417,7 +428,8 @@ def _build_cfg(by_pc, variants, unresolved, root) -> Cfg:
                 terminator=term,
                 entry_height=len(var.entry),
                 dead=var.consts is None,
-                const_operands=var.consts,
+                # A copy: the simulation memo can hand one list to two variants.
+                const_operands=None if var.consts is None else list(var.consts),
             )
         if pc not in variants:
             blocks_out[str(pc)] = Block(

@@ -113,7 +113,22 @@ def _loop_report(loops: list[list[str]]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
+    # Unless the caller set up logging, warnings go to the sys.stderr of this
+    # call through a handler that leaves with it, so a later call in the
+    # same process writes to its own stderr.
+    handler = None
+    if not logging.root.handlers:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+        logging.root.addHandler(handler)
+    try:
+        return _run(args)
+    finally:
+        if handler is not None:
+            logging.root.removeHandler(handler)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         code = _read_code(args.input)
     except (OSError, UnicodeDecodeError, HexError) as err:

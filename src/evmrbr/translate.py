@@ -32,9 +32,11 @@ instructions.
 Statements are immutable, so rule bodies may share them: one
 ``translate_cfg`` call builds the statements of a PUSH, DUP, SWAP, POP,
 JUMPDEST, arithmetic, bit operation or environment read once per (opcode,
-stack top, immediate) and puts the same objects in every rule that needs
-them.  ``tau`` itself returns new statements on every call, except that
-every ``nop`` marker of one opcode is one object.
+stack top, immediate), and those of an SLOAD, SSTORE, MLOAD, MSTORE or
+CALLDATALOAD that draws no ``fresh_*`` variable once per (opcode, stack
+top, constant key, address or offset), and puts the same objects in every
+rule that needs them.  ``tau`` itself returns new statements on every
+call, except that every ``nop`` marker of one opcode is one object.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ _SHAREABLE = frozenset(
     for code, (kind, _) in enumerate(KINDS)
     if kind in ("push", "dup", "swap", "pop", "jumpdest", "env", "calldatasize")
     or for_byte(code).mnemonic in (*_BINOPS, *_BITOPS, "NOT")
+)
+# Opcode bytes whose statements depend on the opcode, the stack top and the
+# resolver's constant for the first popped operand (the storage key, memory
+# address or calldata offset), unless they draw a fresh variable.  One
+# translation call shares them per such key when they draw none.
+_SHARED_BY_OPERAND = frozenset(
+    code
+    for code, (kind, _) in enumerate(KINDS)
+    if kind in ("sload", "sstore", "mload", "mstore", "calldataload")
 )
 # Opcode byte -> its nop marker, shared by every rule that leaves one.
 _NOPS = [Nop(for_byte(code).mnemonic) for code in range(256)]
@@ -316,9 +327,11 @@ def _translate_block(
 ) -> list[Rule]:
     """``translate_block`` that takes the statements of a ``_SHAREABLE``
     instruction from ``shared``, keyed by (opcode byte, stack top,
-    immediate), and stores them there on a miss; ``shared`` serves one
-    ``nops`` setting.  A hit needs no underflow check: an equal stack top
-    passed it when the entry was stored."""
+    immediate), and those of a ``_SHARED_BY_OPERAND`` one keyed by (opcode
+    byte, stack top, constant first operand), and stores them there on a
+    miss that drew no fresh variable; ``shared`` serves one ``nops``
+    setting.  A hit needs no underflow check: an equal stack top passed it
+    when the entry was stored."""
     if block.entry_height is None:
         raise ValueError(f"block {block.id} has no entry height (dead?)")
     state = TranslationState(
@@ -359,13 +372,21 @@ def _translate_block(
         code = ins.opcode.code
         if code in _SHAREABLE:
             key = (code, state.m, ins.immediate)
-            hit = shared.get(key)
-            if hit is None:
-                hit = shared[key] = (tau(ins, state, layout), state.m)
-            body.extend(hit[0])
-            state.m = hit[1]
+        elif code in _SHARED_BY_OPERAND:
+            key = (code, state.m, state.consts.get(ins.offset, (None,))[0])
         else:
             body.extend(tau(ins, state, layout))
+            continue
+        hit = shared.get(key)
+        if hit is None:
+            drawn = state.fresh_counter
+            stmts = tau(ins, state, layout)
+            if state.fresh_counter != drawn:
+                body.extend(stmts)  # a fresh draw belongs to this rule alone
+                continue
+            hit = shared[key] = (stmts, state.m)
+        body.extend(hit[0])
+        state.m = hit[1]
     if carried:
         state.m -= 1  # drop the target
     if nops:
@@ -399,7 +420,7 @@ def _translate_block(
 
 def translate_cfg(cfg: Cfg, *, nops: bool = False) -> list[Rule]:
     """Translate every live block, sharing one variable layout and one
-    statement memo (see ``_SHAREABLE``)."""
+    statement memo (see ``_SHAREABLE`` and ``_SHARED_BY_OPERAND``)."""
     layout = build_layout(cfg)
     shared: dict[tuple, tuple[list[Statement], int]] = {}
     rules: list[Rule] = []

@@ -9,6 +9,7 @@ import pytest
 from corpus import CORPUS, TWO_CALLER_CLONE
 from progen import Asm, gen_program
 
+import evmrbr.cfg
 from evmrbr.asm import Instruction, disassemble
 from evmrbr.cfg import (
     Block,
@@ -309,6 +310,28 @@ def _subroutine_calls() -> bytes:
     for i in range(2):
         asm.label(f"sub{i}").op("JUMPDEST").push(3 + i).op("MUL").op("SWAP1").op("JUMP")
     return asm.assemble()
+
+
+@pytest.mark.parametrize(
+    "code", [gen_program(random.Random(24)), _subroutine_calls()], ids=["progen-24", "subroutine-clones"]
+)
+def test_resolve_simulates_each_block_entry_once_per_call(code, monkeypatch):
+    simulated = []
+
+    def counted(block, entry):
+        simulated.append((block.start_pc, entry))
+        return _simulate(block, entry)
+
+    monkeypatch.setattr(evmrbr.cfg, "_simulate", counted)
+    instrs = disassemble(code)
+    first = resolve_cfg(split_blocks(instrs))
+    once = list(simulated)
+    assert len(once) == len(set(once))
+    # Nothing outlives a call: a second one simulates every entry again.
+    simulated.clear()
+    second = resolve_cfg(split_blocks(instrs))
+    assert simulated == once
+    assert _cfg_digest(second) == _cfg_digest(first)
 
 
 # Programs whose disassembly and resolved CFG are pinned below: the corpus,

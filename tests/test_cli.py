@@ -33,10 +33,15 @@ def run(capsys, monkeypatch, tmp_path):
 def cli_process(*argv, stdin: str | bytes, **env: str) -> subprocess.CompletedProcess:
     """Run the CLI in a child process that imports this package, with
     ``env`` added to its environment; its output is text if ``stdin`` is."""
+    return python_process("-m", "evmrbr", *argv, stdin=stdin, **env)
+
+
+def python_process(*args, stdin: str | bytes, **env: str) -> subprocess.CompletedProcess:
+    """``cli_process`` for any Python command line."""
     src = str(Path(evmrbr.cli.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "evmrbr", *argv],
+        [sys.executable, *args],
         input=stdin,
         capture_output=True,
         text=isinstance(stdin, str),
@@ -296,6 +301,40 @@ def test_diagnostics_go_to_stderr():
     assert result.returncode == 0
     assert "no guard pattern" not in result.stdout
     assert "no guard pattern" in result.stderr
+
+
+_REPEATED_CALLS = """
+import io, logging, sys
+from contextlib import redirect_stderr, redirect_stdout
+from evmrbr.cli import main
+
+def call():
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        main(["rbr", "-"])
+    return err.getvalue()
+
+code = sys.stdin.read()
+for _ in range(2):
+    sys.stdin = io.StringIO(code)
+    print(repr(call()))
+own = io.StringIO()
+logging.basicConfig(stream=own, format="own %(message)s")
+sys.stdin = io.StringIO(code)
+print(repr(call()), repr(own.getvalue()), len(logging.root.handlers))
+"""
+
+
+def test_each_call_warns_on_its_own_stderr():
+    # A fresh process, so that no handler of the test runner is installed.
+    result = python_process("-c", _REPEATED_CALLS, stdin="60003561000857005b00")
+    warning = "block 0: no guard pattern, testing the raw condition\n"
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        repr("WARNING: " + warning),
+        repr("WARNING: " + warning),
+        f"'' {'own ' + warning!r} 1",
+    ]
 
 
 def test_wide_storage_key_warns_in_one_line():

@@ -727,3 +727,60 @@ def test_constant_reads_and_fresh_draws_are_not_shared():
         Var("g1"), Var("caller"), Var("fresh_0"), Var("caller"), Var("fresh_1"),
         Var("caller"), Var("fresh_2"),
     ]
+
+
+
+def _ops(*ops):
+    """A ``_twice_through_a_jump`` body from mnemonics and ints to push."""
+    return [("PUSH", op) if isinstance(op, int) else (op, None) for op in ops]
+
+
+def _draws(rule):
+    """The statements of ``rule`` that record an address or draw a value."""
+    return [
+        s for s in rule.body
+        if isinstance(s, Assign)
+        and (s.target in ("gl", "ll") or isinstance(s.value, Var) and s.value.name.startswith("fresh_"))
+    ]
+
+
+@pytest.mark.parametrize("nops", [False, True])
+def test_constant_key_accesses_at_one_stack_top_are_one_object(nops):
+    body = _ops(0, "SLOAD", "POP", 5, 1, "SSTORE", 64, "MLOAD", 7, 64, "MSTORE", 4, "CALLDATALOAD")
+    first, second = rules_of(_twice_through_a_jump(body), nops=nops)
+    accesses = [
+        Assign("s0", Var("g0")), Assign("g1", Var("s0")), Assign("s0", Var("l0")),
+        Assign("l0", Var("s1")), Assign("s1", Var("md0")),
+    ]
+    for access in accesses:
+        assert [s for s in first.body if s == access] == [access]
+        assert next(s for s in first.body if s == access) is next(s for s in second.body if s == access)
+
+
+@pytest.mark.parametrize("nops", [False, True])
+def test_non_constant_reads_are_built_per_rule(nops):
+    body = _ops("CALLER", "SLOAD", "CALLER", "MLOAD", "POP", "CALLER", "CALLDATALOAD")
+    first, second = rules_of(_twice_through_a_jump(body), nops=nops)
+    assert _draws(first) == _draws(second) == [
+        Assign("gl", Var("s0")), Assign("s0", Var("fresh_0")),
+        Assign("ll", Var("s1")), Assign("s1", Var("fresh_1")),
+        Assign("s1", Var("fresh_2")),
+    ]
+    assert not any(a is b for a, b in zip(_draws(first), _draws(second)))
+
+
+@pytest.mark.parametrize("nops", [False, True])
+def test_fresh_numbering_does_not_depend_on_the_memo(nops):
+    # The second rule takes its constant-key statements from the memo and
+    # draws between them; it numbers its draws as if translated alone.
+    body = _ops(0, "CALLDATALOAD", "POP", 0, "SLOAD", "POP", "CALLER", "SLOAD", "POP",
+                0, "MLOAD", 9, 0, "MSTORE", "CALLER", "MLOAD", "CALLER", "BALANCE", "POP")
+    cfg = cfg_of(_twice_through_a_jump(body))
+    first, second = translate_cfg(cfg, nops=nops)
+    assert [second] == translate_block(cfg.live_blocks()[1], build_layout(cfg), nops=nops)
+    assert [s.value for s in _draws(second) if s.target not in ("gl", "ll")] == [
+        Var("fresh_0"), Var("fresh_1"), Var("fresh_2"),
+    ]
+    from_memo = [s for s in second.body if any(s is t for t in first.body)]
+    for access in (Assign("s0", Var("md0")), Assign("s0", Var("g0")), Assign("l0", Var("s1"))):
+        assert access in from_memo
