@@ -149,6 +149,24 @@ def index_rules(rules: list[Rule]) -> RuleIndex:
             index = consts[atom.value] = -1 - len(consts)
         return index
 
+    def assignment(stmt: Assign) -> tuple:
+        target = slots.get(stmt.target)
+        if target is None:
+            target = slot_of(stmt.target)
+        expr = stmt.value
+        kind = expr.__class__
+        if kind is BinOp or kind is BitOp:
+            return target, _OPS[expr.op], index_of(expr.lhs), index_of(expr.rhs)
+        if kind is Var or kind is Num:
+            return target, None, index_of(expr), None
+        if kind is Not:
+            return target, operator.xor, index_of(expr.operand), index_of(_NOT_MASK)
+        raise TypeError(f"not an expression: {expr!r}")
+
+    # Rule bodies share statement objects; each is converted once, keyed by
+    # identity while ``rules`` keeps it alive.  A repeat names no new slot
+    # or constant, so the numbering stays in first-seen order.
+    converted: dict[int, tuple] = {}
     shared_args: dict[int, tuple[str, ...]] = {}
     groups: dict[str, list[tuple]] = {}
     for rule in rules:
@@ -159,19 +177,10 @@ def index_rules(rules: list[Rule]) -> RuleIndex:
         for stmt in rule.body:
             if stmt.__class__ is not Assign:
                 continue
-            target = slots.get(stmt.target)
-            if target is None:
-                target = slot_of(stmt.target)
-            expr = stmt.value
-            kind = expr.__class__
-            if kind is BinOp or kind is BitOp:
-                body.append((target, _OPS[expr.op], index_of(expr.lhs), index_of(expr.rhs)))
-            elif kind is Var or kind is Num:
-                body.append((target, None, index_of(expr), None))
-            elif kind is Not:
-                body.append((target, operator.xor, index_of(expr.operand), index_of(_NOT_MASK)))
-            else:
-                raise TypeError(f"not an expression: {expr!r}")
+            step = converted.get(id(stmt))
+            if step is None:
+                step = converted[id(stmt)] = assignment(stmt)
+            body.append(step)
         call = rule.continuation
         callee, args = None, ()
         if call is not None:

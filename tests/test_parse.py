@@ -9,6 +9,7 @@ import pytest
 from corpus import CORPUS
 from progen import gen_program
 
+from evmrbr import decompile, parse
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
 from evmrbr.emit import emit_rbr, export_saco
@@ -574,6 +575,47 @@ def test_parse_nops_outcomes_are_pinned():
     edits = [_edited(rng, rng.choice(texts)) for _ in range(1500)]
     outcomes = "\n".join(map(_parse_outcome, texts + edits))
     assert hashlib.sha256(outcomes.encode()).hexdigest()[:16] == _PINNED_NOPS_PARSES
+
+
+class _CountingToken:
+    """Stands in for ``parse._TOKEN`` and counts the token scans."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scans = pattern, 0
+
+    def match(self, text, pos):
+        self.scans += 1
+        return self.pattern.match(text, pos)
+
+
+def _parse_counting_scans(monkeypatch, text):
+    counter = _CountingToken(parse._TOKEN)
+    with monkeypatch.context() as patch:
+        patch.setattr(parse, "_TOKEN", counter)
+        return parse_rbr(text), counter.scans
+
+
+# Emitted text is read in units, so the token path runs only where a unit
+# cannot stand: a last statement without a comma, an empty body, the end
+# of the text.  Read token by token, the plain and --nops texts of the
+# 24 KB contract took 17,329 and 103,858 scans.
+@pytest.mark.parametrize("nops", [False, True])
+def test_emitted_24k_text_takes_few_token_scans(monkeypatch, nops):
+    code = gen_program(random.Random(1), segments=1161)  # bench seed 1 of decompile-24k
+    assert len(code) >= 24 * 1024
+    rules = decompile(code, nops=nops)
+    parsed, scans = _parse_counting_scans(monkeypatch, emit_rbr(rules))
+    assert parsed == rules
+    assert scans <= 200
+
+
+@pytest.mark.parametrize("nops", [False, True])
+def test_emitted_corpus_texts_take_few_token_scans(monkeypatch, nops):
+    for name, code in CORPUS.items():
+        rules = decompile(code, nops=nops)
+        parsed, scans = _parse_counting_scans(monkeypatch, emit_rbr(rules))
+        assert parsed == rules, name
+        assert scans <= 200, name
 
 
 def test_roundtrip_recovers_layout_tables():

@@ -1,7 +1,9 @@
 """Rule interpreter semantics."""
 
+import copy
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -206,6 +208,18 @@ def test_index_shares_argument_tuples_by_stack_count():
             if callee is not None:
                 assert args_of.setdefault(len(args), args) is args
     assert len(args_of) > 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_of_shared_statements_equals_index_of_copies(seed):
+    # translate_cfg shares equal statements between rules; a copy with one
+    # object per statement must get the same slots, constants and steps.
+    rules = rules_of(gen_program(random.Random(seed)))
+    copies = [replace(rule, body=[copy.deepcopy(stmt) for stmt in rule.body]) for rule in rules]
+    statements = [stmt for rule in rules for stmt in rule.body]
+    assert len({id(stmt) for stmt in statements}) < len(statements)
+    assert len({id(stmt) for rule in copies for stmt in rule.body}) == len(statements)
+    assert index_rules(rules) == index_rules(copies)
 
 
 # --- runs pinned before the interpreter moved to slot-indexed frames ---

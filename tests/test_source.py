@@ -1,9 +1,20 @@
 """Source-level checks over the package and its tests."""
 
 import ast
+import importlib
+import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
+
+import evmrbr
+
+try:
+    from re import _parser as sre_parser  # Python 3.11 and later
+except ImportError:
+    import sre_parse as sre_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
@@ -32,3 +43,46 @@ def test_only_the_opcode_table_classifies_opcodes(path):
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     assert not used & _CLASSIFIERS
+
+# Regular-expression syntax that Python 3.11 added: atomic groups (?>...)
+# and possessive repeats such as a*+.  Python 3.10 fails to compile either.
+_PY311_REGEX = {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
+
+
+def _regex_opcodes(tree):
+    """The name of every opcode in a parsed pattern, nested ones included."""
+    for op, arg in tree:
+        yield op.name
+        yield from _nested_opcodes(arg)
+
+
+def _nested_opcodes(arg):
+    if isinstance(arg, sre_parser.SubPattern):
+        yield from _regex_opcodes(arg)
+    elif isinstance(arg, (list, tuple)):
+        for item in arg:
+            yield from _nested_opcodes(item)
+
+
+def _module_patterns():
+    for info in pkgutil.iter_modules(evmrbr.__path__):
+        module = importlib.import_module(f"evmrbr.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, dict):
+                items = {f"{name}[{key!r}]": item for key, item in value.items()}
+            else:
+                items = {name: value}
+            for label, item in items.items():
+                if isinstance(item, re.Pattern):
+                    yield f"{info.name}.{label}", item
+
+
+@pytest.mark.parametrize("pattern", [pytest.param(p, id=name) for name, p in _module_patterns()])
+def test_patterns_compile_on_python_3_10(pattern):
+    assert not set(_regex_opcodes(sre_parser.parse(pattern.pattern, pattern.flags))) & _PY311_REGEX
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="the syntax does not parse before 3.11")
+def test_regex_check_sees_python_3_11_syntax():
+    for pattern in (r"(?>a)", r"x(?:a|(b*+))"):
+        assert set(_regex_opcodes(sre_parser.parse(pattern))) & _PY311_REGEX
