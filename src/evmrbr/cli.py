@@ -9,6 +9,7 @@ flags.  Exit codes: 0 success, 1 input error, 2 pipeline error, 3 when
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 
@@ -121,9 +122,17 @@ def main(argv: list[str] | None = None) -> int:
         handler = logging.StreamHandler(sys.stderr)
         handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
         logging.root.addHandler(handler)
+    # The pipeline leaves no reference cycles (tests/test_gc.py), so reference
+    # counting frees all it makes and the cyclic collector would only rescan
+    # live objects.  It is paused for the command, and turned back on only if
+    # it was on when the call came in.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _run(args)
     finally:
+        if collecting:
+            gc.enable()
         if handler is not None:
             logging.root.removeHandler(handler)
 

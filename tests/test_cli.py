@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, stream separation."""
 
+import gc
 import io
 import os
 import subprocess
@@ -278,6 +279,65 @@ def test_check_call_counts(run, monkeypatch):
     # The CLI resolves for its warnings and differential_check for its rules;
     # the concrete side decodes the raw code once per case.
     assert calls == {"disassemble": 2 + 4, "resolve_cfg": 2}
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "paused"])
+def collector(request):
+    """The cyclic collector, on or off as the caller of ``main`` left it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, exit_code",
+    [
+        (("rbr", "-"), ADD_STORE.hex(), 0),
+        (("disasm", "/nonexistent/path.hex"), None, 1),
+        (("rbr", "-", "-o", "{tmp}/missing/x.rbr"), ADD_STORE.hex(), 1),
+        (("check", "-"), "60003556", 2),
+        (("check", "-", "--runs", "3"), "6000353560005500", 3),
+        (("check", "-", "--runs", "-1"), "00", "usage"),
+    ],
+    ids=["exit-0", "missing-file", "unwritable-output", "exit-2", "exit-3", "usage-error"],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    run, tmp_path, collector, argv, stdin, exit_code
+):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if exit_code == "usage":
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, stdin=stdin)
+        assert exc.value.code == 2
+    else:
+        assert run(*argv, stdin=stdin)[0] == exit_code
+    assert gc.isenabled() is collector
+
+
+def test_commands_run_with_the_collector_paused(run, monkeypatch, collector):
+    translate_cfg = evmrbr.cli.translate_cfg
+    seen = []
+
+    def watched(cfg, **kwargs):
+        seen.append(gc.isenabled())
+        return translate_cfg(cfg, **kwargs)
+
+    monkeypatch.setattr(evmrbr.cli, "translate_cfg", watched)
+    for command in ("rbr", "saco", "loops"):
+        assert run(command, "-", stdin=ADD_STORE.hex())[0] == 0
+    assert seen == [False] * 3
+    assert gc.isenabled() is collector
+
+
+def test_an_escaping_error_leaves_the_collector_as_it_found_it(run, monkeypatch, collector):
+    def fail(cfg, **kwargs):
+        raise RuntimeError("not an EvmRbrError")
+
+    monkeypatch.setattr(evmrbr.cli, "translate_cfg", fail)
+    with pytest.raises(RuntimeError):
+        run("rbr", "-", stdin=ADD_STORE.hex())
+    assert gc.isenabled() is collector
 
 
 def test_rbr_warns_about_unresolved_jumps(run):

@@ -29,7 +29,8 @@ def test_parses_as_python_3_10(path):
 # Names that classify opcodes.  opcodes.py turns them into its kind table,
 # and every other module reads that table instead.
 _CLASSIFIERS = {"BLOCKCHAIN_READS", "is_dup", "is_swap", "pair_index"}
-PACKAGE = sorted(p for p in (ROOT / "src" / "evmrbr").glob("*.py") if p.name != "opcodes.py")
+MODULES = sorted((ROOT / "src" / "evmrbr").glob("*.py"))
+PACKAGE = [p for p in MODULES if p.name != "opcodes.py"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -43,6 +44,22 @@ def test_only_the_opcode_table_classifies_opcodes(path):
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     assert not used & _CLASSIFIERS
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+# cli.main pauses the cyclic collector for a command; library callers keep
+# their own collector settings, so no other module may touch them.
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_cli_imports_gc(path):
+    assert ("gc" in _imported_modules(path)) is (path.name == "cli.py")
+
 
 # Regular-expression syntax that Python 3.11 added: atomic groups (?>...)
 # and possessive repeats such as a*+.  Python 3.10 fails to compile either.
