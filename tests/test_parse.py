@@ -201,6 +201,72 @@ def test_parse_rejects_non_ascii_digits_and_spaces(text, line, column, found):
     )
 
 
+# The first bad character, where a comment or arrow meets one, in texts
+# with header comments, with comments after the rules, and with none: each
+# outcome is the canonical text of the parsed rules, or the error's (line,
+# column, expected).  Recorded before the tail after the last comment line
+# was checked by a prescan.
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        # A lone ">", and a "=>" split by a comment
+        (">", (1, 1, "a token (found '>')")),
+        ("block_0() => s0 = 1 > 2", (1, 21, "a token (found '>')")),
+        ("block_0() => s0 = 1\n\nblock_1() => s0 = 2 >", (3, 21, "a token (found '>')")),
+        ("block_0() = -- c\n> s0 = 1", (2, 1, "a token (found '>')")),
+        ("block_0() =-- c\n> s0 = 1", (2, 1, "a token (found '>')")),
+        ("-- lmap: 64 -> l0\nblock_0(l0) = -- >\n> s0 = l0", (3, 1, "a token (found '>')")),
+        # "--" at the end of the text, with no newline
+        ("block_0() => s0 = 1 --", "block_0() =>\n  s0 = 1\n"),
+        ("block_0() => s0 = 1 -- $ >", "block_0() =>\n  s0 = 1\n"),
+        ("block_0() => s0 = 1 $ --", (1, 21, "a token (found '$')")),
+        ("--", ""),
+        ("block_0() => s0 = 1 --\n--", "block_0() =>\n  s0 = 1\n"),
+        # A "-" just after the last comment line, a ">" as the first character after it
+        ("-- lmap: 64 -> l0\n-block_0(l0) => s0 = l0", (2, 1, "a rule name")),
+        ("-- c\n- block_0() => s0 = 1", (2, 1, "a rule name")),
+        ("-- lmap: 64 -> l0\n-- md: md0 = calldata[4]\n-\nblock_0(l0, md0) => s0 = 1",
+         (3, 1, "a rule name")),
+        ("-- lmap: 64 -> l0\n>block_0(l0) => s0 = l0", (2, 1, "a token (found '>')")),
+        ("-- c\n> block_0() => s0 = 1", (2, 1, "a token (found '>')")),
+        ("-- c\n=> block_0() => s0 = 1", (2, 1, "a rule name")),
+        ("-- saco\nblock_0() =>\n  s0 = s1 - 1,\n  s0 = s1 > 1", (4, 11, "a token (found '>')")),
+        # Non-ASCII characters inside and outside comments, and \x1c
+        ("-- \u0663 \xe9\nblock_0() => s0 = 1", "block_0() =>\n  s0 = 1\n"),
+        ("-- \u0663 \xe9\nblock_0() => s0 = 1 $", (2, 21, "a token (found '$')")),
+        ("-- \u0663\nblock_0() => s0 = 1 >", (2, 21, "a token (found '>')")),
+        ("-- c\nblock_0() => s0 = \u0663", (2, 19, "a token (found '\u0663')")),
+        ("block_0() => s0 = 1 -- \u0663\n, s1 = \xe9", (2, 8, "a token (found '\xe9')")),
+        ("block_0() => s0 = 1, s1 = \U0001f600", (1, 27, "a token (found '\U0001f600')")),
+        ("block_0() =>\x1c s0 = 1", (1, 13, "a token (found '\\x1c')")),
+        ("-- \x1c\nblock_0() => s0 = 1", "block_0() =>\n  s0 = 1\n"),
+        ("-- c\nblock_0() => s0 = 1\x1c", (2, 20, "a token (found '\\x1c')")),
+        # A comment after the rules
+        ("block_0() => s0 = 1 $\n-- c", (1, 21, "a token (found '$')")),
+        ("block_0() => s0 = 1\n-- c\n> 2", (3, 1, "a token (found '>')")),
+        ("block_0() => s0 = 1 > 2\n-- c", (1, 21, "a token (found '>')")),
+        ("-- lmap: 64 -> l0\nblock_0(l0) => s0 = l0\n-- end",
+         "-- lmap: 64 -> l0\n\nblock_0(l0) =>\n  s0 = l0\n"),
+        ("-- c\nblock_0() => s0 = 1 $ -- d\n, s0 = 2", (2, 21, "a token (found '$')")),
+        # No comment at all
+        ("block_0() => s0 = 1", "block_0() =>\n  s0 = 1\n"),
+        ("block_0() => s0 = 1 $", (1, 21, "a token (found '$')")),
+        ("block_0() => s0 = 1, s1 = 2 - 1, s2 = 3 >", (1, 41, "a token (found '>')")),
+        ("block_0() =>> s0 = 1", (1, 13, "a token (found '>')")),
+        ("block_0() => s0 = 1 ->", (1, 22, "a token (found '>')")),
+        ("block_0() ==> s0 = 1 $", (1, 22, "a token (found '$')")),
+        ("block_0() => s0 = 1 -", (1, 22, "a number or variable")),
+    ],
+)
+def test_parse_bad_character_outcomes(text, outcome):
+    if isinstance(outcome, str):
+        assert emit_rbr(parse_rbr(text)) == outcome
+        return
+    with pytest.raises(RbrSyntaxError) as err:
+        parse_rbr(text)
+    assert (err.value.line, err.value.column, err.value.expected) == outcome
+
+
 def test_roundtrip_corpus():
     for name, code in CORPUS.items():
         for nops in (False, True):
