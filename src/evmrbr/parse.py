@@ -6,10 +6,16 @@ header comments (``-- lmap:`` / ``-- md:``) are read back so the address
 tables survive the round trip.
 
 The text is read in one lazy pass.  Line and column are computed from the
-offset only when an error is raised.  One search loop up front finds the
-first character outside comments that begins no token (a ``>`` only ends
-an arrow), so a bad character is reported even when a grammar error comes
-before it.
+offset only when an error is raised.  A check up front finds the first
+character outside comments that begins no token (a ``>`` only ends an
+arrow), so a bad character is reported even when a grammar error comes
+before it.  A search loop, which restarts after each ``-`` and ``>``,
+runs only up to the end of the line of the last ``--``: the header
+comments of emitted text.  The rest holds no comment, and a linear
+prescan tells whether it is clean: it is ASCII, deleting the token
+characters and ``-`` from its bytes leaves only ``>``, and it has as many
+``=>`` as ``>``.  Only when the prescan fails does the loop go on, so the
+offset it reports is the one it always reported.
 
 The token path scans the next token at the current offset when it needs
 it.  It is the only source of errors.  The shape ``emit_rbr`` writes is
@@ -22,7 +28,9 @@ token path would read there or falls back to it at the same offset:
   ``parse_rbr`` call keeps a memo from the text inside the parentheses to
   its stack count and other names; a text that is not a plain name list
   (a comment, say) is stored as such and takes the token path.  Emitted
-  programs have one list text per stack height.
+  programs have one list text per stack height.  A memo entry whose names
+  equal the layout's parameters holds the parser's own list of them, so
+  heads and calls compare it by identity.
 * A guard and its ``|`` in the emitted spacing are read by one match, and
   the guard text is looked up in a memo of guards.
 * A body statement in the emitted spacing, an assignment or a ``nop``
@@ -49,6 +57,7 @@ Every memo lives in one ``_Parser``, so nothing is carried from one
 from __future__ import annotations
 
 import re
+import string
 import sys
 
 from .errors import RbrSyntaxError
@@ -94,6 +103,8 @@ _NEXT = {"(": re.compile(_SKIP + r"\(", re.A), "=": re.compile(_SKIP + r"=(?!>)"
 # Outside comments these begin no token, except "-" (also the start of a
 # comment) and the ">" of "=>".  One character class, so search is fast.
 _SUSPECT = re.compile(r"[^\s\dA-Za-z_(),|=+*/%^]", re.A)
+# The ASCII characters that _SUSPECT passes, and "-".
+_TOKEN_BYTES = (_SPACE + string.digits + string.ascii_letters + "_(),|=+*/%^-").encode()
 # A statement in the spacing emit_rbr writes, with its comma: one unit of a
 # body.  Group 1 is the statement text, the key of the statement memo.  An
 # assignment's target is group 2; its value is a functor and two operands
@@ -154,7 +165,7 @@ class _Parser:
         self.pos = 0
         self.scanned = -1  # the ``pos`` the current token was scanned from
         self.layout: VarLayout | None = None
-        self.params: list[str] = []  # layout.param_names(), built once
+        self.params: list[str] = []  # equal to layout.param_names(), see name_list
         self.lists: dict[str, tuple] = {}  # the list memo, see name_list
         self.rule_ids: set[str] = set()  # rule and callee names checked so far
         self.statements: dict[str, Statement] = {}  # the statement memo
@@ -209,7 +220,10 @@ class _Parser:
             key = text[self.pos:end]
             split = self.lists.get(key)
             if split is None:
-                split = self.lists[key] = _plain_list(key)
+                split = _plain_list(key)
+                if split and split[1] == self.params:
+                    split = split[0], self.params  # compared by identity first
+                self.lists[key] = split
             if split:
                 self.pos = end + 1
                 return split
@@ -235,12 +249,12 @@ def _plain_list(text: str) -> tuple:
     return ()
 
 
-def _first_bad_character(text: str) -> int:
-    """The offset of the first character outside comments that begins no
-    token (a ``>`` after ``=`` ends an arrow), or -1."""
-    at = 0
+def _search_bad(text: str, at: int, end: int) -> int:
+    """The offset of the first character in ``text[at:end]`` outside
+    comments that begins no token (a ``>`` after ``=`` ends an arrow), or
+    -1.  ``at`` and ``end`` must not fall inside a comment."""
     while True:
-        match = _SUSPECT.search(text, at)
+        match = _SUSPECT.search(text, at, end)
         if match is None:
             return -1
         start = match.start()
@@ -253,6 +267,29 @@ def _first_bad_character(text: str) -> int:
             at = start + 1
         else:
             return start
+
+
+def _first_bad_character(text: str) -> int:
+    """``_search_bad`` over all of ``text``.
+
+    The search runs only up to the end of the line of the last ``--``.
+    Past it no comment starts, so each ``-`` is a minus, and the rest is
+    clean exactly when it is ASCII, holds nothing but token characters and
+    ``>``, and each ``>`` follows a ``=``.  Only if not does the search go
+    on, to find the offset.
+    """
+    last = text.rfind("--")
+    cut = 0 if last < 0 else text.find("\n", last) + 1 or len(text)
+    bad = _search_bad(text, 0, cut)
+    if bad >= 0 or cut == len(text):
+        return bad
+    if text.isascii():
+        data = text.encode("ascii")
+        rest = data.translate(None, _TOKEN_BYTES)
+        skip = len(data[:cut].translate(None, _TOKEN_BYTES))  # the header's part
+        if rest.count(b">", skip) == len(rest) - skip == text.count("=>", cut):
+            return -1
+    return _search_bad(text, cut, len(text))
 
 
 def parse_rbr(text: str) -> list[Rule]:
@@ -288,8 +325,8 @@ def _parse_rule(parser, head, lmap, md_offsets) -> Rule:
 
     if parser.layout is None:
         parser.layout = _layout_from_params(rest, lmap, md_offsets, parser, at)
-        parser.params = parser.layout.param_names()
-    elif rest != parser.params:
+        parser.params = rest  # equal to layout.param_names(), and held by the list memo
+    elif rest is not parser.params and rest != parser.params:
         raise parser.fail("parameters consistent across rules", at)
 
     if name.startswith("jump"):
@@ -522,6 +559,6 @@ def _parse_call(parser, fast) -> Call:
     _check_rule_id(parser, target, at, "a block_/jump_ callee")
     stack_count, rest = parser.name_list()
     parser.take(")")
-    if rest != parser.params:
+    if rest is not parser.params and rest != parser.params:
         raise parser.fail("canonical call arguments", at)
     return Call(target, stack_count)

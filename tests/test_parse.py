@@ -267,6 +267,55 @@ def test_parse_bad_character_outcomes(text, outcome):
     assert (err.value.line, err.value.column, err.value.expected) == outcome
 
 
+# Symbols for random texts: comment starts, arrows, a lone ">", token
+# characters, and characters outside the grammar, ASCII or not.
+_PRESCAN_SYMBOLS = ["-", "--", ">", "=", "=>", "\n", " ", "s0", "_", "(", ",", "|", "+",
+                    "$", "\x1c", "\xa0", "\u0663"]
+
+
+def _search_everywhere(text: str) -> int:
+    return parse._search_bad(text, 0, len(text))
+
+
+def test_prescan_agrees_with_the_search_on_random_texts():
+    rng = random.Random("prescan")
+    for _ in range(5000):
+        text = "".join(rng.choices(_PRESCAN_SYMBOLS, k=rng.randint(0, 24)))
+        assert parse._first_bad_character(text) == _search_everywhere(text), text
+
+
+def test_prescan_agrees_with_the_search_on_edited_24k_text():
+    # One symbol inserted into the emitted text of decompile-24k's seed 1.
+    text = emit_rbr(decompile(gen_program(random.Random(1), segments=1161)))
+    rng = random.Random("prescan-24k")
+    for _ in range(60):
+        at, symbol = rng.randrange(len(text) + 1), rng.choice(_PRESCAN_SYMBOLS)
+        edited = text[:at] + symbol + text[at:]
+        assert parse._first_bad_character(edited) == _search_everywhere(edited), (at, symbol)
+
+
+def test_prescan_keeps_the_search_in_the_header(monkeypatch):
+    # On emitted texts the search runs over the header comments only.
+    code = gen_program(random.Random(1), segments=1161)
+    rules = decompile(code)
+    search, spans = parse._search_bad, []
+
+    def counted(text, at, end):
+        spans.append((at, end))
+        return search(text, at, end)
+
+    monkeypatch.setattr(parse, "_search_bad", counted)
+    for text in (emit_rbr(rules), emit_rbr(decompile(code, nops=True)), export_saco(rules)):
+        header = 0
+        for line in text.splitlines(keepends=True):
+            if not line.startswith("--"):
+                break
+            header += len(line)
+        spans.clear()
+        parse_rbr(text)
+        assert spans == [(0, header)]
+
+
 def test_roundtrip_corpus():
     for name, code in CORPUS.items():
         for nops in (False, True):
