@@ -9,6 +9,7 @@ flags.  Exit codes: 0 success, 1 input error, 2 pipeline error, 3 when
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import logging
 import sys
@@ -19,6 +20,7 @@ from .diff import differential_check
 from .emit import emit_rbr, export_saco
 from .errors import EvmRbrError, HexError
 from .loops import detect_loops
+from .opcodes import PUSH0
 from .translate import translate_cfg
 
 
@@ -34,7 +36,9 @@ def _count(least: int):
     return count
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="evmrbr",
         description="Lift EVM bytecode into a guarded rule-based representation.",
@@ -105,6 +109,21 @@ def _cfg_summary(cfg) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _push0_warning(cfg) -> str | None:
+    """A warning naming the first live PUSH0 byte, which decodes as a halt."""
+    offsets = [
+        block.instrs[-1].offset
+        for block in cfg.blocks.values()
+        if not block.dead and block.instrs[-1].opcode.code == PUSH0
+    ]
+    if not offsets:
+        return None
+    return (
+        f"warning: offset {min(offsets)}: 0x5f is PUSH0 (EIP-3855, Shanghai), which this "
+        "Constantinople decoder does not read; it is decoded as a halt"
+    )
+
+
 def _loop_report(loops: list[list[str]]) -> str:
     lines = [f"loops: {len(loops)}"]
     for i, members in enumerate(loops):
@@ -156,6 +175,9 @@ def _run(args: argparse.Namespace) -> int:
         cfg = resolve_cfg(split_blocks(disassemble(code)))
         for bid, reason in cfg.unresolved:
             print(f"warning: block {bid}: {reason}", file=sys.stderr)
+        push0 = _push0_warning(cfg)
+        if push0:
+            print(push0, file=sys.stderr)
         if args.command == "rbr":
             rules = translate_cfg(cfg, nops=args.nops)
             _write_output(emit_rbr(rules), args.output)

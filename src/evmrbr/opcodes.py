@@ -174,6 +174,11 @@ BY_NAME: dict[str, Opcode] = {
 }
 
 
+# PUSH0 (EIP-3855, Shanghai) is later than this table, so its byte decodes
+# as INVALID_5f, a halt.
+PUSH0 = 0x5F
+
+
 def for_byte(b: int) -> Opcode:
     """Decode one byte value; total over 0x00..0xFF."""
     return TABLE.get(b) or _INVALID_CLASS[b]

@@ -16,6 +16,7 @@ import evmrbr.diff
 import evmrbr.evm_exec
 from evmrbr import decompile
 from evmrbr.cli import main
+from evmrbr.emit import emit_rbr
 from evmrbr.parse import parse_rbr
 
 
@@ -338,6 +339,63 @@ def test_an_escaping_error_leaves_the_collector_as_it_found_it(run, monkeypatch,
     with pytest.raises(RuntimeError):
         run("rbr", "-", stdin=ADD_STORE.hex())
     assert gc.isenabled() is collector
+
+
+_PUSH0_WARNING = (
+    "warning: offset {}: 0x5f is PUSH0 (EIP-3855, Shanghai), which this "
+    "Constantinople decoder does not read; it is decoded as a halt\n"
+)
+_COMMANDS = [("rbr",), ("saco",), ("loops",), ("check", "--runs", "3")]
+
+
+@pytest.mark.parametrize(
+    "hexstr, offset",
+    [("5f60015500", 0), ("60015f5b00", 2), ("5f5f00", 0)],
+    ids=["push0-first", "push0-after-push1", "two-push0"],
+)
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda c: c[0])
+def test_live_push0_warns_once(run, hexstr, offset, command):
+    # The PUSH0 byte decodes as a halt; stdout and the exit code are those of
+    # that halt, and one line on stderr names the first such offset.
+    code, out, err = run(command[0], "-", *command[1:], stdin=hexstr)
+    assert (code, err) == (0, _PUSH0_WARNING.format(offset))
+    if command[0] == "rbr":
+        assert out == emit_rbr(decompile(bytes.fromhex(hexstr)))
+    if command[0] == "check":
+        assert out == "divergences: 0/3\n"
+
+
+@pytest.mark.parametrize("hexstr", ["605f00", "005f"], ids=["push-data", "dead-code"])
+@pytest.mark.parametrize("command", _COMMANDS, ids=lambda c: c[0])
+def test_push0_byte_that_never_runs_does_not_warn(run, hexstr, command):
+    code, out, err = run(command[0], "-", *command[1:], stdin=hexstr)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["rbr", "--help"], [], ["frob", "-"], ["check", "-", "--runs", "x"]],
+    ids=["help", "rbr-help", "no-command", "unknown-command", "bad-runs"],
+)
+def test_shared_parser_keeps_help_and_usage_errors(capsys, monkeypatch, argv):
+    # main reuses one parser; each call prints and exits as a new one does.
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    fresh = outcome(evmrbr.cli._build_parser.__wrapped__().parse_args)
+    assert outcome(main) == outcome(main) == fresh
+    assert fresh[0] == (0 if "--help" in argv else 2)
+
+
+def test_import_builds_no_parser():
+    script = "import evmrbr.cli; print(evmrbr.cli._build_parser.cache_info().currsize)"
+    result = python_process("-c", script, stdin="")
+    assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
 
 
 def test_rbr_warns_about_unresolved_jumps(run):

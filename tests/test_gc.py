@@ -8,7 +8,9 @@ command ends.  Each test here runs the stages with the collector off and
 """
 
 import gc
+import io
 import random
+import sys
 
 import pytest
 
@@ -27,6 +29,7 @@ from evmrbr import (
     split_blocks,
     translate_cfg,
 )
+from evmrbr.cli import main
 from evmrbr.errors import EvmRbrError
 
 PROGRAMS = {**CORPUS, **{f"gen_{seed}": gen_program(random.Random(seed)) for seed in range(3)}}
@@ -138,3 +141,15 @@ def test_check_garbage_does_not_grow_with_cases(cycles, flip):
         del report
         found[n_cases] = cycles()
     assert found == {1: [], 20: []}
+
+
+def test_a_second_cli_call_makes_no_cycles(cycles, monkeypatch, capsys):
+    # The argument parser is built once per process, by the first call.
+    def call():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(COUNTER_LOOP.hex()))
+        assert main(["rbr", "-"]) == 0
+
+    call()
+    cycles()
+    call()
+    assert cycles() == []
