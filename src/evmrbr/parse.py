@@ -12,10 +12,11 @@ arrow), so a bad character is reported even when a grammar error comes
 before it.  A search loop, which restarts after each ``-`` and ``>``,
 runs only up to the end of the line of the last ``--``: the header
 comments of emitted text.  The rest holds no comment, and a linear
-prescan tells whether it is clean: it is ASCII, deleting the token
-characters and ``-`` from its bytes leaves only ``>``, and it has as many
-``=>`` as ``>``.  Only when the prescan fails does the loop go on, so the
-offset it reports is the one it always reported.
+prescan tells whether it is clean: it is ASCII, a search for a ``>``
+after anything but ``=`` finds none, and deleting the token characters,
+``-`` and ``>`` from its bytes (one ``bytes.translate`` call) leaves
+nothing.  Only when the prescan fails does the loop go on, so the offset
+it reports is the one it always reported.
 
 The token path scans the next token at the current offset when it needs
 it.  It is the only source of errors.  The shape ``emit_rbr`` writes is
@@ -103,8 +104,10 @@ _NEXT = {"(": re.compile(_SKIP + r"\(", re.A), "=": re.compile(_SKIP + r"=(?!>)"
 # Outside comments these begin no token, except "-" (also the start of a
 # comment) and the ">" of "=>".  One character class, so search is fast.
 _SUSPECT = re.compile(r"[^\s\dA-Za-z_(),|=+*/%^]", re.A)
-# The ASCII characters that _SUSPECT passes, and "-".
-_TOKEN_BYTES = (_SPACE + string.digits + string.ascii_letters + "_(),|=+*/%^-").encode()
+# The ASCII characters that _SUSPECT passes, "-" and ">".
+_TOKEN_BYTES = (_SPACE + string.digits + string.ascii_letters + "_(),|=+*/%^->").encode()
+# A ">" that ends no arrow.  The literal first, so search skips to each ">".
+_LONE_GT = re.compile(">(?<!=>)")
 # A statement in the spacing emit_rbr writes, with its comma: one unit of a
 # body.  Group 1 is the statement text, the key of the statement memo.  An
 # assignment's target is group 2; its value is a functor and two operands
@@ -274,20 +277,19 @@ def _first_bad_character(text: str) -> int:
 
     The search runs only up to the end of the line of the last ``--``.
     Past it no comment starts, so each ``-`` is a minus, and the rest is
-    clean exactly when it is ASCII, holds nothing but token characters and
-    ``>``, and each ``>`` follows a ``=``.  Only if not does the search go
-    on, to find the offset.
+    clean exactly when it is ASCII, each ``>`` in it follows a ``=``, and
+    it holds nothing but token characters, ``-`` and ``>``.  Only if not
+    does the search go on, to find the offset.
     """
     last = text.rfind("--")
     cut = 0 if last < 0 else text.find("\n", last) + 1 or len(text)
     bad = _search_bad(text, 0, cut)
     if bad >= 0 or cut == len(text):
         return bad
-    if text.isascii():
+    if text.isascii() and _LONE_GT.search(text, cut) is None:
         data = text.encode("ascii")
-        rest = data.translate(None, _TOKEN_BYTES)
-        skip = len(data[:cut].translate(None, _TOKEN_BYTES))  # the header's part
-        if rest.count(b">", skip) == len(rest) - skip == text.count("=>", cut):
+        kept = len(data.translate(None, _TOKEN_BYTES))
+        if kept == len(data[:cut].translate(None, _TOKEN_BYTES)):  # all in the header
             return -1
     return _search_bad(text, cut, len(text))
 
