@@ -70,12 +70,16 @@ def outcome_lines() -> list[str]:
     return lines
 
 
-def test_cli_outcomes_are_pinned(monkeypatch):
+def test_cli_outcomes_are_pinned():
     # With no handler on the root logger, main sends warnings to its stderr,
-    # as it does outside the test runner.
-    monkeypatch.setattr(logging.root, "handlers", [])
+    # as it does outside the test runner.  The runner's handlers are put
+    # back before it removes them.
+    handlers, logging.root.handlers = logging.root.handlers, []
+    try:
+        actual = outcome_lines()
+    finally:
+        logging.root.handlers = handlers
     expected = PINNED.read_text().splitlines()
-    actual = outcome_lines()
     diff = "\n".join(difflib.unified_diff(expected, actual, "pinned", "now", lineterm="", n=0))
     assert actual == expected, diff
 
