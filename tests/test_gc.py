@@ -143,7 +143,7 @@ def test_check_garbage_does_not_grow_with_cases(cycles, flip):
     assert found == {1: [], 20: []}
 
 
-def test_a_second_cli_call_makes_no_cycles(cycles, monkeypatch, capsys):
+def test_a_second_cli_call_makes_no_cycles(cycles, monkeypatch):
     # The argument parser is built once per process, by the first call.
     def call():
         monkeypatch.setattr(sys, "stdin", io.StringIO(COUNTER_LOOP.hex()))
