@@ -128,18 +128,25 @@ def block_leaders(instrs: list[Instruction]) -> set[int]:
 
 
 def split_blocks(instrs: list[Instruction]) -> list[Block]:
-    """Split an instruction stream into blocks with unresolved terminators."""
-    if not instrs:
-        return []
-    leaders = block_leaders(instrs)
+    """Split an instruction stream into blocks with unresolved terminators.
+
+    One pass: a JUMPDEST opens a block and a terminator closes one, so the
+    blocks start at exactly the ``block_leaders`` offsets.
+    """
     blocks = []
+    ends_block = _ENDS_BLOCK
     group: list[Instruction] = []
     for ins in instrs:
-        if group and ins.offset in leaders:
+        code = ins[1].code
+        if code == _JUMPDEST and group:
             blocks.append(_make_block(group))
             group = []
         group.append(ins)
-    blocks.append(_make_block(group))
+        if ends_block[code]:
+            blocks.append(_make_block(group))
+            group = []
+    if group:
+        blocks.append(_make_block(group))
     return blocks
 
 

@@ -44,6 +44,23 @@ def test_block_leaders_start_the_split_blocks():
     for code in CORPUS.values():
         instrs = disassemble(code)
         assert block_leaders(instrs) == {b.start_pc for b in split_blocks(instrs)}
+    # Random byte strings, half of whose bytes open or close a block.
+    rng = random.Random("split-blocks")
+    split = 0
+    for _ in range(2000):
+        code = bytes(
+            rng.choice(b"\x5b\x56\x57\x00") if rng.random() < 0.5 else rng.randrange(256)
+            for _ in range(rng.randint(0, 40))
+        )
+        try:
+            instrs = disassemble(code)
+        except TruncatedPush:
+            continue
+        blocks = split_blocks(instrs)
+        assert [b.start_pc for b in blocks] == sorted(block_leaders(instrs)), code.hex()
+        assert [ins for b in blocks for ins in b.instrs] == instrs, code.hex()
+        split += 1
+    assert split > 1000
 
 
 def test_split_jump_program():
