@@ -172,7 +172,8 @@ def _run(args: argparse.Namespace) -> int:
             sys.stdout.write(emit_dot(cfg) if args.dot else _cfg_summary(cfg))
             return 0
 
-        cfg = resolve_cfg(split_blocks(disassemble(code)))
+        blocks = split_blocks(disassemble(code))
+        cfg = resolve_cfg(blocks)
         for bid, reason in cfg.unresolved:
             print(f"warning: block {bid}: {reason}", file=sys.stderr)
         push0 = _push0_warning(cfg)
@@ -189,8 +190,10 @@ def _run(args: argparse.Namespace) -> int:
         if args.command == "loops":
             sys.stdout.write(_loop_report(detect_loops(translate_cfg(cfg))))
             return 0
-        # check
-        report = differential_check(code, n_cases=args.runs, seed=args.seed)
+        # check: the CFG served the warnings and need not live through the
+        # cases; differential_check resolves the same blocks for its rules.
+        del cfg
+        report = differential_check(code, n_cases=args.runs, seed=args.seed, blocks=blocks)
         sys.stdout.write(report.text())
         return 0 if report.agreed else 3
     except EvmRbrError as err:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .asm import disassemble
-from .cfg import Cfg, FallThrough, Jump, JumpI, id_sort_key, resolve_cfg, split_blocks
+from .cfg import Block, Cfg, FallThrough, Jump, JumpI, id_sort_key, resolve_cfg, split_blocks
 from .errors import EvmRbrError
 from .evm_exec import run_evm
 from .opcodes import KINDS
@@ -66,17 +66,25 @@ def differential_check(
     seed: int = 0,
     rules: list[Rule] | None = None,
     step_limit: int = 10**6,
+    *,
+    blocks: list[Block] | None = None,
 ) -> DiffReport:
     """Run ``n_cases`` random vectors through both interpreters.
 
     ``rules`` overrides the translation (used to prove the harness catches
-    corrupted rule sets).  The rules are indexed once and every case runs
-    on that index; the concrete side runs on ``code`` itself, which each
-    case disassembles afresh.  Divergences and rule-interpreter failures are
-    report content; concrete-interpreter failures raise, since they mean
-    the program is outside the oracle's subset.
+    corrupted rule sets).  ``blocks``, when given, must be
+    ``split_blocks(disassemble(code))`` of this same ``code``: a caller that
+    has split it already passes its blocks, and this call resolves them
+    instead of decoding and splitting ``code`` again.  The rules are indexed
+    once and every case runs on that index; the concrete side runs on
+    ``code`` itself, which each case disassembles afresh.  Divergences and
+    rule-interpreter failures are report content; concrete-interpreter
+    failures raise, since they mean the program is outside the oracle's
+    subset.
     """
-    cfg = resolve_cfg(split_blocks(disassemble(code)))
+    if blocks is None:
+        blocks = split_blocks(disassemble(code))
+    cfg = resolve_cfg(blocks)
     if cfg.entry is None:
         raise EvmRbrError("empty bytecode")
     if cfg.unresolved:
@@ -90,8 +98,8 @@ def differential_check(
     block_pcs = {
         name: rule_sort_key(name)[0] for name in index.groups if name.startswith("block_")
     }
-    # The cases need no CFG or Rule object: let this call's copies go.
-    del cfg, rules
+    # The cases need no block, CFG or Rule object: let this call's references go.
+    del blocks, cfg, rules
 
     rng = random.Random(seed)
     report = DiffReport(n_cases=n_cases)

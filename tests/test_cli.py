@@ -263,7 +263,7 @@ def test_wide_storage_key_is_not_a_field(run, caplog, hexstr, command):
 
 
 def test_check_call_counts(run, monkeypatch):
-    calls = {"disassemble": 0, "resolve_cfg": 0}
+    calls = {"disassemble": 0, "split_blocks": 0, "resolve_cfg": 0}
     for module in (evmrbr.cli, evmrbr.diff, evmrbr.evm_exec):
         for name in calls:
             original = getattr(module, name, None)
@@ -277,9 +277,10 @@ def test_check_call_counts(run, monkeypatch):
             monkeypatch.setattr(module, name, counted)
     code, out, _ = run("check", "-", "--runs", "4", stdin=CORPUS["counter_loop"].hex())
     assert (code, out) == (0, "divergences: 0/4\n")
-    # The CLI resolves for its warnings and differential_check for its rules;
-    # the concrete side decodes the raw code once per case.
-    assert calls == {"disassemble": 2 + 4, "resolve_cfg": 2}
+    # The CLI decodes and splits once and resolves for its warnings, and
+    # differential_check resolves the same blocks for its rules; the concrete
+    # side decodes the raw code once per case.
+    assert calls == {"disassemble": 1 + 4, "split_blocks": 1, "resolve_cfg": 2}
 
 
 @pytest.fixture(params=[True, False], ids=["collecting", "paused"])

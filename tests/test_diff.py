@@ -55,18 +55,39 @@ def test_generated_programs_agree():
         assert report.agreed, report.text()
 
 
+def _flip_first_guard(code: bytes):
+    """The translation of ``code`` with its first jump rule's guard negated."""
+    rules = translate_cfg(resolve_cfg(split_blocks(disassemble(code))))
+    rule = next(rule for rule in rules if rule.is_jump)
+    rule.guard = Guard(COMPLEMENT[rule.guard.relation], rule.guard.lhs, rule.guard.rhs)
+    return rules
+
+
 def test_flipped_guard_is_caught():
-    cfg = resolve_cfg(split_blocks(disassemble(COUNTER_LOOP)))
-    rules = translate_cfg(cfg)
-    mutated = copy.deepcopy(rules)
-    for rule in mutated:
-        if rule.is_jump:
-            rule.guard = Guard(
-                COMPLEMENT[rule.guard.relation], rule.guard.lhs, rule.guard.rhs
-            )
-            break
-    report = differential_check(COUNTER_LOOP, n_cases=5, seed=3, rules=mutated)
+    rules = _flip_first_guard(COUNTER_LOOP)
+    report = differential_check(COUNTER_LOOP, n_cases=5, seed=3, rules=rules)
     assert not report.agreed
+
+
+_GIVEN_BLOCKS_CASES = {
+    **{name: (code, None) for name, code in CORPUS.items()},
+    **{f"progen-{seed}": (gen_program(random.Random(seed)), None) for seed in (3, 11, 29, 47, 83)},
+    "flipped-guard": (COUNTER_LOOP, _flip_first_guard),
+}
+
+
+@pytest.mark.parametrize("name", _GIVEN_BLOCKS_CASES)
+def test_given_blocks_give_the_same_report(name):
+    code, mutate = _GIVEN_BLOCKS_CASES[name]
+    rules = mutate(code) if mutate else None
+    own = differential_check(code, n_cases=8, seed=4, rules=rules)
+    given = differential_check(
+        code, n_cases=8, seed=4, rules=rules, blocks=split_blocks(disassemble(code))
+    )
+    assert own.agreed == (mutate is None), own.text()
+    assert (given.text(), given.agreed, given.executed_rules) == (
+        own.text(), own.agreed, own.executed_rules
+    )
 
 
 def test_divergence_report_format():

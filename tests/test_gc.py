@@ -145,11 +145,12 @@ def test_check_garbage_does_not_grow_with_cases(cycles, flip):
 
 def test_a_second_cli_call_makes_no_cycles(cycles, monkeypatch):
     # The argument parser is built once per process, by the first call.
-    def call():
+    def call(argv):
         monkeypatch.setattr(sys, "stdin", io.StringIO(COUNTER_LOOP.hex()))
-        assert main(["rbr", "-"]) == 0
+        assert main(argv) == 0
 
-    call()
-    cycles()
-    call()
-    assert cycles() == []
+    for argv in (["rbr", "-"], ["check", "-", "--runs", "3"]):
+        call(argv)
+        cycles()
+        call(argv)
+        assert cycles() == [], argv
