@@ -106,6 +106,9 @@ _NEXT = {"(": re.compile(_SKIP + r"\(", re.A), "=": re.compile(_SKIP + r"=(?!>)"
 _SUSPECT = re.compile(r"[^\s\dA-Za-z_(),|=+*/%^]", re.A)
 # The ASCII characters that _SUSPECT passes, "-" and ">".
 _TOKEN_BYTES = (_SPACE + string.digits + string.ascii_letters + "_(),|=+*/%^->").encode()
+# Characters of the tail that the prescan encodes and translates at a time,
+# which bounds the copies it makes.
+_PRESCAN_PIECE = 1 << 16
 # A ">" that ends no arrow.  The literal first, so search skips to each ">".
 _LONE_GT = re.compile(">(?<!=>)")
 # A statement in the spacing emit_rbr writes, with its comma: one unit of a
@@ -286,11 +289,11 @@ def _first_bad_character(text: str) -> int:
     bad = _search_bad(text, 0, cut)
     if bad >= 0 or cut == len(text):
         return bad
-    if text.isascii() and _LONE_GT.search(text, cut) is None:
-        data = text.encode("ascii")
-        kept = len(data.translate(None, _TOKEN_BYTES))
-        if kept == len(data[:cut].translate(None, _TOKEN_BYTES)):  # all in the header
-            return -1
+    if text.isascii() and _LONE_GT.search(text, cut) is None and all(
+        not text[at : at + _PRESCAN_PIECE].encode("ascii").translate(None, _TOKEN_BYTES)
+        for at in range(cut, len(text), _PRESCAN_PIECE)
+    ):
+        return -1
     return _search_bad(text, cut, len(text))
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -292,6 +293,20 @@ def test_prescan_agrees_with_the_search_on_edited_24k_text():
         at, symbol = rng.randrange(len(text) + 1), rng.choice(_PRESCAN_SYMBOLS)
         edited = text[:at] + symbol + text[at:]
         assert parse._first_bad_character(edited) == _search_everywhere(edited), (at, symbol)
+
+
+def test_prescan_memory_stays_below_the_text_size():
+    # The 1 MB emitted text of decompile-24k's seed 1: the tail past the
+    # header is encoded and translated piece by piece, not in one copy.
+    text = emit_rbr(decompile(gen_program(random.Random(1), segments=1161)))
+    assert len(text) > 1 << 20
+    tracemalloc.start()
+    try:
+        assert parse._first_bad_character(text) == -1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19, peak
 
 
 def test_prescan_keeps_the_search_in_the_header(monkeypatch):
