@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .asm import Instruction
-from .opcodes import BY_NAME, KINDS, for_byte
+from .opcodes import JUMPDEST, KINDS, for_byte
+from .rbr import id_sort_key
 
 # Abstract value: a known 256-bit constant, or None for "anything".
 AbstractValue = Optional[int]
 
 UNRESOLVED = "?"
-
-_JUMPDEST = BY_NAME["JUMPDEST"].code
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,6 @@ class Cfg:
         ]
 
 
-def id_sort_key(block_id: str) -> tuple[int, int]:
-    """Numeric ordering for block ids: by start PC, then clone index."""
-    pc, _, suffix = block_id.partition("_c")
-    return int(pc), int(suffix) if suffix else -1
-
-
 def block_leaders(instrs: list[Instruction]) -> set[int]:
     """Offsets that start a basic block: the first instruction, every
     JUMPDEST, and every instruction following a terminator."""
@@ -121,7 +114,7 @@ def block_leaders(instrs: list[Instruction]) -> set[int]:
     prev_terminates = False
     for offset, op, _ in instrs:
         code = op.code
-        if prev_terminates or code == _JUMPDEST:
+        if prev_terminates or code == JUMPDEST:
             leaders.add(offset)
         prev_terminates = ends_block[code]
     return leaders
@@ -138,7 +131,7 @@ def split_blocks(instrs: list[Instruction]) -> list[Block]:
     group: list[Instruction] = []
     for ins in instrs:
         code = ins[1].code
-        if code == _JUMPDEST and group:
+        if code == JUMPDEST and group:
             blocks.append(_make_block(group))
             group = []
         group.append(ins)
@@ -173,7 +166,7 @@ def _make_block(group: list[Instruction]) -> Block:
 # whether the opcode ends a block are built once, so the per-instruction
 # passes read no Opcode property.
 _EFFECTS = [
-    ("fold", op.delta, arg) if kind == "word"
+    ("fold", op.delta, arg[0]) if kind == "word"
     else (kind, op.delta, arg) if kind in ("push", "pc", "dup", "swap", "jump", "jumpi")
     else ("opaque", op.delta, (None,) * op.alpha)
     for op, (kind, arg) in zip(map(for_byte, range(256)), KINDS)
@@ -375,7 +368,7 @@ def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
     block = by_pc.get(target)
     if block is None:
         return f"jump target {target} is not a block start"
-    if block.instrs[0].opcode.code != _JUMPDEST:
+    if block.instrs[0].opcode.code != JUMPDEST:
         return f"jump target {target} is not a JUMPDEST"
     return None
 

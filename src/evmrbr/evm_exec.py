@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .asm import disassemble
 from .errors import EvmFault, StepLimitExceeded, UnsupportedOpcode
-from .opcodes import KINDS, WORD, for_byte
+from .opcodes import JUMPDEST, KINDS, WORD, for_byte
 
 
 @dataclass
@@ -53,7 +53,7 @@ def run_evm(
     n = len(instrs)
     # JUMPDEST offset -> instruction index.  Built from instructions, so a
     # 0x5b byte inside PUSH data is no target.
-    jumpdests = {ins[0]: i for i, ins in enumerate(instrs) if ins[1] is _JUMPDEST}
+    jumpdests = {ins[0]: i for i, ins in enumerate(instrs) if ins[1].code == JUMPDEST}
     env = dict(env or {})
     storage = dict(storage or {})
     memory: dict[int, int] = {}
@@ -154,10 +154,9 @@ def run_evm(
 # op1/op2/op3 by arity, a halt is a stop or (RETURN, REVERT) a return, and
 # the kinds outside the subset are unsupported, naming the mnemonic.
 _ENTRIES = [
-    (f"op{op.delta}", arg) if kind == "word"
+    (f"op{op.delta}", arg[0]) if kind == "word"
     else ("return" if op.delta else "stop", None) if kind == "halt"
     else ("unsupported", op.mnemonic) if kind in ("memcopy", "opaque")
     else (kind, arg)
     for op, (kind, arg) in zip(map(for_byte, range(256)), KINDS)
 ]
-_JUMPDEST = for_byte(0x5B)

@@ -177,6 +177,7 @@ BY_NAME: dict[str, Opcode] = {
 # PUSH0 (EIP-3855, Shanghai) is later than this table, so its byte decodes
 # as INVALID_5f, a halt.
 PUSH0 = 0x5F
+JUMPDEST = 0x5B
 
 
 def for_byte(b: int) -> Opcode:
@@ -269,6 +270,20 @@ WORD_OPS: dict[str, Callable[..., int]] = {
 }
 
 
+# A word operation's form in the rules: an arithmetic operator, a functor,
+# the relation a comparison opening a JUMPI's guard window gives the taken
+# branch (signed ones coincide with the unsigned on the values the rules are
+# meant for), or ISZERO's negation, which swaps a guard pair.  Other word
+# operations, and these outside a guard window, translate to fresh_* values.
+RULE_FORMS: dict[str, tuple[str, str | None]] = {
+    "ADD": ("arith", "+"), "SUB": ("arith", "-"), "MUL": ("arith", "*"), "DIV": ("arith", "/"),
+    "MOD": ("arith", "%"), "EXP": ("arith", "^"), "NOT": ("functor", "not"),
+    "AND": ("functor", "and"), "OR": ("functor", "or"), "XOR": ("functor", "xor"),
+    "LT": ("guard", "lt"), "GT": ("guard", "gt"), "EQ": ("guard", "eq"), "SLT": ("guard", "lt"),
+    "SGT": ("guard", "gt"), "ISZERO": ("negation", None),
+}
+
+
 # Copy-style memory writers: index of the (destination, length) operands;
 # a length of None is one byte.
 _MEMORY_COPIES = {
@@ -294,7 +309,7 @@ def _kind(op: Opcode) -> tuple[str, object]:
     if op.is_swap:
         return "swap", op.pair_index
     if name in WORD_OPS:
-        return "word", WORD_OPS[name]
+        return "word", (WORD_OPS[name], RULE_FORMS.get(name))
     if name in BLOCKCHAIN_READS:
         return "env", BLOCKCHAIN_READS[name]
     if name == "CALLDATASIZE":
@@ -311,11 +326,10 @@ def _kind(op: Opcode) -> tuple[str, object]:
 # Opcode byte -> (kind, argument): the one classification of what an
 # instruction does.  The resolver, the translator and the concrete
 # interpreter each map the kinds to their own actions.  Arguments: the N of
-# dup and swap, the WORD_OPS function of word (its arity is ``delta``), the
-# threaded name of env and of calldatasize (whose value is the calldata's
-# size), and the (destination, length) operand indices of memcopy.  halt is
-# STOP, RETURN, REVERT and the INVALID class; opaque is every effect outside
-# the model: hashing, calls, logs, SELFDESTRUCT.  The other kinds, push, pc,
-# jumpdest, jump, jumpi, pop, calldataload, mload, mstore, sload and
-# sstore, take no argument.
+# dup and swap, the (WORD_OPS function, RULE_FORMS form or None) pair of
+# word, the threaded name of env and of calldatasize, and the (destination,
+# length) operand indices of memcopy.  halt is STOP, RETURN, REVERT and the
+# INVALID class; opaque is every effect outside the model: hashing, calls,
+# logs, SELFDESTRUCT.  The other kinds, push, pc, jumpdest, jump, jumpi,
+# pop, calldataload, mload, mstore, sload and sstore, take no argument.
 KINDS: list[tuple[str, object]] = [_kind(for_byte(b)) for b in range(256)]

@@ -188,9 +188,14 @@ def _names_of(expr: Expr) -> list[str]:
     return []
 
 
+def id_sort_key(block_id: str) -> tuple[int, int]:
+    """Numeric ordering for block ids ``<pc>[_c<n>]``: by PC, then clone index."""
+    pc, _, suffix = block_id.partition("_c")
+    return int(pc), int(suffix) if suffix else -1
+
+
 def rule_sort_key(name: str) -> tuple[int, int, int]:
-    """Numeric ordering for rule names: PC, clone index, block before jump."""
-    kind = 1 if name.startswith("jump_") else 0
-    ident = name.split("_", 1)[1]
-    pc, _, suffix = ident.partition("_c")
-    return int(pc), int(suffix) if suffix else -1, kind
+    """Numeric ordering for rule names: their block id's, block before jump."""
+    kind, _, block_id = name.partition("_")
+    pc, clone = id_sort_key(block_id)
+    return pc, clone, 1 if kind == "jump" else 0

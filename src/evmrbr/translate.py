@@ -69,20 +69,16 @@ log = logging.getLogger(__name__)
 # rule carry that many parameters.
 FIELD_KEY_BOUND = 256
 
-_BINOPS = {"ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/", "MOD": "%", "EXP": "^"}
-_BITOPS = {"AND": "and", "OR": "or", "XOR": "xor"}
-# Comparison openers of a guard window, with the relation that holds on the
-# taken branch.  Signed variants coincide with the unsigned relations on the
-# value ranges the rules are meant for.
-_CMP_GUARDS = {"GT": "gt", "LT": "lt", "EQ": "eq", "SGT": "gt", "SLT": "lt"}
+# Opcode byte -> (kind, argument) of the translation: the table's, except
+# that a word operation takes its rule form, or is opaque without one.
+_KINDS = [(arg[1] or ("opaque", None)) if kind == "word" else (kind, arg) for kind, arg in KINDS]
 # Opcode bytes whose statements depend on nothing but the opcode, the stack
 # top and the immediate: no popped constant, layout, offset or fresh draw.
 # One translation call builds them once per such key and shares them.
 _SHAREABLE = frozenset(
     code
-    for code, (kind, _) in enumerate(KINDS)
-    if kind in ("push", "dup", "swap", "pop", "jumpdest", "env", "calldatasize")
-    or for_byte(code).mnemonic in (*_BINOPS, *_BITOPS, "NOT")
+    for code, (kind, _) in enumerate(_KINDS)
+    if kind in ("push", "dup", "swap", "pop", "jumpdest", "env", "calldatasize", "arith", "functor")
 )
 # Opcode bytes whose statements depend on the opcode, the stack top and the
 # resolver's constant for the first popped operand (the storage key, memory
@@ -90,7 +86,7 @@ _SHAREABLE = frozenset(
 # translation call shares them per such key when they draw none.
 _SHARED_BY_OPERAND = frozenset(
     code
-    for code, (kind, _) in enumerate(KINDS)
+    for code, (kind, _) in enumerate(_KINDS)
     if kind in ("sload", "sstore", "mload", "mstore", "calldataload")
 )
 # Opcode byte -> its nop marker, shared by every rule that leaves one.
@@ -143,7 +139,7 @@ def build_layout(cfg: Cfg) -> VarLayout:
     named: set[str] = set()
     for block in cfg.live_blocks():
         for ins, popped in zip(block.instrs, block.const_operands or []):
-            kind, arg = KINDS[ins.opcode.code]
+            kind, arg = _KINDS[ins.opcode.code]
             if kind in ("mstore", "mload"):
                 addr = popped[0]
                 if addr is not None and addr not in lmap:
@@ -179,14 +175,13 @@ def build_layout(cfg: Cfg) -> VarLayout:
 def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
     """Translate one instruction, updating the stack cursor ``state.m``."""
     op = instr.opcode
-    name = op.mnemonic
     m = state.m
     if m + 1 < op.delta:
         raise StackUnderflow(state.block_id, instr.offset)
     popped = state.consts.get(instr.offset, (None,) * op.delta)
 
     stmts: list[Statement] = [_NOPS[op.code]] if state.nops else []
-    kind, arg = KINDS[op.code]
+    kind, arg = _KINDS[op.code]
     if kind == "push":
         stmts.append(Assign(_s(m + 1), Num(instr.immediate)))
         state.m += 1
@@ -202,14 +197,14 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
             Assign(_s(m), Var(_s(m - arg))),
             Assign(_s(m - arg), Var(_s(m + 1))),
         ]
-    elif name in _BINOPS:
-        stmts.append(Assign(_s(m - 1), BinOp(_BINOPS[name], Var(_s(m)), Var(_s(m - 1)))))
+    elif kind == "arith":
+        stmts.append(Assign(_s(m - 1), BinOp(arg, Var(_s(m)), Var(_s(m - 1)))))
         state.m -= 1
-    elif name in _BITOPS:
-        stmts.append(Assign(_s(m - 1), BitOp(_BITOPS[name], Var(_s(m)), Var(_s(m - 1)))))
-        state.m -= 1
-    elif name == "NOT":
+    elif kind == "functor" and arg == "not":
         stmts.append(Assign(_s(m), Not(Var(_s(m)))))
+    elif kind == "functor":
+        stmts.append(Assign(_s(m - 1), BitOp(arg, Var(_s(m)), Var(_s(m - 1)))))
+        state.m -= 1
     elif kind == "pop":
         state.m -= 1
     elif kind == "sload":
@@ -252,8 +247,8 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
         stmts += _havoc_memory(instr, popped, arg, state, layout)
         state.m -= op.delta
     else:
-        # Opaque effect (none for JUMPDEST): consume the operands, produce
-        # unknown results.
+        # Opaque effect (none for JUMPDEST), or a comparison or ISZERO outside
+        # a guard window: consume the operands, produce unknown results.
         state.m -= op.delta
         for _ in range(op.alpha):
             state.m += 1
@@ -297,23 +292,17 @@ def tau_G(window, state: TranslationState) -> tuple[Guard, Guard]:
     anything else (including an empty window).
     """
     m = state.m
-    if window and window[0].mnemonic in _CMP_GUARDS:
-        if any(ins.mnemonic != "ISZERO" for ins in window[1:]):
-            raise UnsupportedGuard(f"window {[i.mnemonic for i in window]}")
-        if m < 1:
-            raise StackUnderflow(state.block_id, window[0].offset)
-        taken = Guard(_CMP_GUARDS[window[0].mnemonic], Var(_s(m)), Var(_s(m - 1)))
-        if len(window) % 2 == 0:  # odd number of trailing ISZEROs
-            taken = taken.negated()
-        state.m -= 2
-    elif window and all(ins.mnemonic == "ISZERO" for ins in window):
-        if m < 0:
-            raise StackUnderflow(state.block_id, window[0].offset)
-        relation = "eq" if len(window) % 2 == 1 else "neq"
-        taken = Guard(relation, Var(_s(m)), Num(0))
-        state.m -= 1
-    else:
+    forms = [_KINDS[ins.opcode.code] for ins in window]
+    compares = 1 if forms and forms[0][0] == "guard" else 0  # 1: a comparison opens it
+    if not forms or any(kind != "negation" for kind, _ in forms[compares:]):
         raise UnsupportedGuard(f"window {[i.mnemonic for i in window]}")
+    if m < compares:
+        raise StackUnderflow(state.block_id, window[0].offset)
+    rhs = Var(_s(m - 1)) if compares else Num(0)
+    taken = Guard(forms[0][1] if compares else "neq", Var(_s(m)), rhs)
+    if (len(forms) - compares) % 2:
+        taken = taken.negated()
+    state.m -= 1 + compares
     return taken, taken.negated()
 
 
@@ -356,13 +345,13 @@ def _translate_block(
     if isinstance(term, (Jump, JumpI)):
         target_pc = id_sort_key(term.target if isinstance(term, Jump) else term.taken)[0]
         end -= 1
-        if end and instrs[end - 1].opcode.is_push and instrs[end - 1].immediate == target_pc:
+        if end and instrs[end - 1].immediate == target_pc:  # only a PUSH has one
             end -= 1
             if isinstance(term, JumpI):
                 start = end
-                while start and instrs[start - 1].mnemonic == "ISZERO":
+                while start and _KINDS[instrs[start - 1].opcode.code][0] == "negation":
                     start -= 1
-                if start and instrs[start - 1].mnemonic in _CMP_GUARDS:
+                if start and _KINDS[instrs[start - 1].opcode.code][0] == "guard":
                     start -= 1
                 window, end = instrs[start:end], start
         else:

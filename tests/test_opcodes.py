@@ -1,6 +1,6 @@
 """Opcode table invariants."""
 
-from evmrbr.opcodes import BY_NAME, TABLE, for_byte
+from evmrbr.opcodes import BY_NAME, KINDS, RULE_FORMS, TABLE, WORD_OPS, for_byte
 
 # Stack effects of every instruction, written out independently of the
 # implementation table: mnemonic -> (consumed, produced).
@@ -76,3 +76,10 @@ def test_terminators():
         assert BY_NAME[name].is_terminator, name
     for name in ("ADD", "JUMPDEST", "PUSH1", "SSTORE"):
         assert not BY_NAME[name].is_terminator, name
+
+
+def test_every_rule_form_reaches_the_kind_table():
+    # A form keyed by anything but a word operation would be dropped.
+    for name, form in RULE_FORMS.items():
+        assert KINDS[BY_NAME[name].code] == ("word", (WORD_OPS[name], form)), name
+        assert form[0] in ("arith", "functor", "guard", "negation"), name

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import evmrbr
+from evmrbr.opcodes import BY_NAME
 
 try:
     from re import _parser as sre_parser  # Python 3.11 and later
@@ -28,7 +29,7 @@ def test_parses_as_python_3_10(path):
 
 # Names that classify opcodes.  opcodes.py turns them into its kind table,
 # and every other module reads that table instead.
-_CLASSIFIERS = {"BLOCKCHAIN_READS", "is_dup", "is_swap", "pair_index"}
+_CLASSIFIERS = {"BLOCKCHAIN_READS", "is_dup", "is_push", "is_swap", "pair_index"}
 MODULES = sorted((ROOT / "src" / "evmrbr").glob("*.py"))
 PACKAGE = [p for p in MODULES if p.name != "opcodes.py"]
 
@@ -44,6 +45,18 @@ def test_only_the_opcode_table_classifies_opcodes(path):
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     assert not used & _CLASSIFIERS
+
+
+# A string naming an opcode outside opcodes.py would classify that opcode
+# by mnemonic; every other module reads the byte-indexed table instead.
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_opcode_table_names_opcodes(path):
+    named = [
+        node.value
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in BY_NAME
+    ]
+    assert not named
 
 
 def _imported_modules(path):
