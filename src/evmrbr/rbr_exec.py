@@ -14,6 +14,7 @@ concession the bit operations need.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -46,9 +47,17 @@ def _trunc_mod(a: int, b: int) -> int:
     return a - b * _trunc_div(a, b)
 
 
+# A power of more bits than this raises instead of taking unbounded time;
+# 65535 ** 65535 (1,048,559 bits) stays below it.
+_POW_BITS = 1 << 20
+
+
 def _pow(a: int, b: int) -> int:
     if b < 0:
         raise EvmRbrError("negative exponent")
+    # a ** b has floor(b * log2|a|) + 1 bits; bases 0, 1 and -1 stay exact.
+    if abs(a) > 1 and (b >= _POW_BITS or b * math.log2(abs(a)) >= _POW_BITS):
+        raise EvmRbrError(f"a power of more than {_POW_BITS} bits")
     return a**b
 
 

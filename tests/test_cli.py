@@ -32,13 +32,16 @@ def run(capsys, monkeypatch, tmp_path):
     return invoke
 
 
-def cli_process(*argv, stdin: str | bytes, **env: str) -> subprocess.CompletedProcess:
+def cli_process(*argv, stdin: str | bytes, timeout: float | None = None,
+                **env: str) -> subprocess.CompletedProcess:
     """Run the CLI in a child process that imports this package, with
-    ``env`` added to its environment; its output is text if ``stdin`` is."""
-    return python_process("-m", "evmrbr", *argv, stdin=stdin, **env)
+    ``env`` added to its environment; its output is text if ``stdin`` is.
+    The child is killed, and the test fails, after ``timeout`` seconds."""
+    return python_process("-m", "evmrbr", *argv, stdin=stdin, timeout=timeout, **env)
 
 
-def python_process(*args, stdin: str | bytes, **env: str) -> subprocess.CompletedProcess:
+def python_process(*args, stdin: str | bytes, timeout: float | None = None,
+                   **env: str) -> subprocess.CompletedProcess:
     """``cli_process`` for any Python command line."""
     src = str(Path(evmrbr.cli.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -48,6 +51,7 @@ def python_process(*args, stdin: str | bytes, **env: str) -> subprocess.Complete
         capture_output=True,
         text=isinstance(stdin, str),
         env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=timeout,
     )
 
 
@@ -206,6 +210,20 @@ def test_check_reports_divergence_with_exit_3(run):
     assert code == 3
     assert "case 0: g0" in out
     assert out.strip().endswith("divergences: 3/3")
+
+
+def test_check_ends_fast_on_nested_powers():
+    # (x ^ x) ^ x of calldata word 0: over unbounded integers the rules'
+    # power would take unbounded time, so it fails as a rule-run divergence.
+    done = cli_process("check", "-", "--runs", "3", stdin="6000356000350a6000350a60005500",
+                       timeout=20)
+    assert done.returncode == 3
+    *cases, last = done.stdout.splitlines()
+    assert last == "divergences: 3/3"
+    assert cases == [
+        f"case {i}: rule-run evm=halt rbr=EvmRbrError: a power of more than 1048576 bits"
+        for i in range(3)
+    ]
 
 
 def test_check_unresolved_is_pipeline_error(run):

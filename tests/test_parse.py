@@ -1,7 +1,9 @@
 """Parsing the canonical text back into rules."""
 
+import functools
 import hashlib
 import random
+import re
 import sys
 import tracemalloc
 
@@ -268,67 +270,104 @@ def test_parse_bad_character_outcomes(text, outcome):
     assert (err.value.line, err.value.column, err.value.expected) == outcome
 
 
-# Symbols for random texts: comment starts, arrows, a lone ">", token
-# characters, and characters outside the grammar, ASCII or not.
-_PRESCAN_SYMBOLS = ["-", "--", ">", "=", "=>", "\n", " ", "s0", "_", "(", ",", "|", "+",
-                    "$", "\x1c", "\xa0", "\u0663"]
+@functools.lru_cache(maxsize=1)
+def _24k_texts():
+    """The plain, --nops and saco texts of decompile-24k's seed-1 contract."""
+    code = gen_program(random.Random(1), segments=1161)
+    rules = decompile(code)
+    return {"plain": emit_rbr(rules), "nops": emit_rbr(decompile(code, nops=True)),
+            "saco": export_saco(rules)}
 
 
-def _search_everywhere(text: str) -> int:
-    return parse._search_bad(text, 0, len(text))
+# tracemalloc peak of parse_rbr on the plain 24 KB text, per Python version,
+# as measured on the parser that read emitted text in units and prescanned
+# it for bad characters (3.10.13, 3.11.7, 3.12.1, 3.13.0).
+_EARLIER_PEAK_MIB = {(3, 10): 2.16, (3, 11): 1.66, (3, 12): 1.54, (3, 13): 1.58}
 
 
-def test_prescan_agrees_with_the_search_on_random_texts():
-    rng = random.Random("prescan")
-    for _ in range(5000):
-        text = "".join(rng.choices(_PRESCAN_SYMBOLS, k=rng.randint(0, 24)))
-        assert parse._first_bad_character(text) == _search_everywhere(text), text
-
-
-def test_prescan_agrees_with_the_search_on_edited_24k_text():
-    # One symbol inserted into the emitted text of decompile-24k's seed 1.
-    text = emit_rbr(decompile(gen_program(random.Random(1), segments=1161)))
-    rng = random.Random("prescan-24k")
-    for _ in range(60):
-        at, symbol = rng.randrange(len(text) + 1), rng.choice(_PRESCAN_SYMBOLS)
-        edited = text[:at] + symbol + text[at:]
-        assert parse._first_bad_character(edited) == _search_everywhere(edited), (at, symbol)
-
-
-def test_prescan_memory_stays_below_the_text_size():
-    # The 1 MB emitted text of decompile-24k's seed 1: the tail past the
-    # header is encoded and translated piece by piece, not in one copy.
-    text = emit_rbr(decompile(gen_program(random.Random(1), segments=1161)))
+def test_parse_memory_peak_on_the_24k_text():
+    # The 1 MB emitted text of decompile-24k's seed 1: the emitted reader
+    # takes one rule of it at a time and makes no copy of the whole text.
+    text = _24k_texts()["plain"]
     assert len(text) > 1 << 20
     tracemalloc.start()
     try:
-        assert parse._first_bad_character(text) == -1
+        parse_rbr(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 19, peak
+    assert peak <= _EARLIER_PEAK_MIB.get(sys.version_info[:2], 1.66) * 2**20, peak
 
 
-def test_prescan_keeps_the_search_in_the_header(monkeypatch):
-    # On emitted texts the search runs over the header comments only.
-    code = gen_program(random.Random(1), segments=1161)
-    rules = decompile(code)
-    search, spans = parse._search_bad, []
-
-    def counted(text, at, end):
-        spans.append((at, end))
-        return search(text, at, end)
-
-    monkeypatch.setattr(parse, "_search_bad", counted)
-    for text in (emit_rbr(rules), emit_rbr(decompile(code, nops=True)), export_saco(rules)):
-        header = 0
-        for line in text.splitlines(keepends=True):
-            if not line.startswith("--"):
-                break
-            header += len(line)
-        spans.clear()
+def test_emitted_texts_take_no_bad_character_search(monkeypatch):
+    # The emitted reader accepts no bad character, so it needs no search.
+    calls = []
+    monkeypatch.setattr(parse, "_search_bad", lambda *args: calls.append(args))
+    for text in _24k_texts().values():
         parse_rbr(text)
-        assert spans == [(0, header)]
+    assert calls == []
+
+
+def _read_both(text: str):
+    """``_read_emitted``'s rules of ``text``, or None.  Where it reads rules,
+    the text has no bad character and the token reader reads the same."""
+    try:
+        tables = parse._layout_tables(text)
+    except RbrSyntaxError:
+        return None
+    rules = parse._read_emitted(text, *tables)
+    if rules is not None:
+        assert parse._search_bad(text, 0, len(text)) == -1
+        assert rules == parse._read_tokens(text, *tables)
+    return rules
+
+
+@pytest.mark.parametrize("group", ["corpus", "generated", "nops", "saco"])
+def test_readers_agree_on_pinned_edits(group):
+    texts, edits = _pinned_inputs(group)
+    assert all(_read_both(text) is not None for text in texts)
+    assert sum(_read_both(text) is not None for text in edits) > 0
+
+
+# Line-level edits of emitted text: a pattern that a line must contain and
+# what its first match becomes (None deletes the line, and one of a tuple
+# is drawn).
+_LINE_EDITS = [
+    ("^$", "\n"),  # a blank line doubled
+    ("^$", None),  # a blank line removed
+    ("^$", "\n-- c"),  # a comment line between rules
+    ("$", "\r"),  # a \r\n line break
+    ("$", ","),  # a trailing comma
+    (" ", "  "),  # a doubled space
+    (r"\b\d+\b", "1" * 100),  # a 100-digit numeral
+    (r"\bfresh_\d+|\b[sgl]\d+\b", "fresh_x"),
+    # A clone's rule id, one without its index and one of 100 digits.
+    (r"\b(?:block|jump)_\d+\b", (r"\g<0>_c1", r"\g<0>_c", r"\g<0>_c" + "1" * 100)),
+]
+
+
+def _line_edited(rng: random.Random, text: str) -> str:
+    lines = text.split("\n")
+    pattern, replacement = rng.choice(_LINE_EDITS)
+    at = rng.randrange(len(lines))
+    while not re.search(pattern, lines[at]):
+        at = rng.randrange(len(lines))
+    if isinstance(replacement, tuple):
+        replacement = rng.choice(replacement)
+    if replacement is None:
+        del lines[at]
+    else:
+        lines[at] = re.sub(pattern, replacement, lines[at], count=1)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", ["plain", "nops", "saco"])
+def test_readers_agree_on_line_edits_of_the_24k_text(kind):
+    text = _24k_texts()[kind]
+    assert _read_both(text) is not None
+    rng = random.Random(f"line-edits-{kind}")
+    read = sum(_read_both(_line_edited(rng, text)) is not None for _ in range(100))
+    assert read > 0
 
 
 def test_roundtrip_corpus():
@@ -388,7 +427,18 @@ def _pinned_texts(group: str) -> list[str]:
         return [emit_rbr(rules) for rules in corpus]
     if group == "generated":
         return [emit_rbr(rules) for rules in generated]
+    if group == "nops":
+        return [emit_rbr(rules) for rules in corpus] + [
+            emit_rbr(rules_of(gen_program(random.Random(seed)), nops=True)) for seed in range(8)
+        ]
     return [export_saco(rules) for rules in corpus + generated]
+
+
+def _pinned_inputs(group: str) -> tuple[list[str], list[str]]:
+    """The texts of ``group`` and 1,500 seeded 1-3 character edits of them."""
+    rng = random.Random(group)
+    texts = _pinned_texts(group)
+    return texts, [_edited(rng, rng.choice(texts)) for _ in range(1500)]
 
 
 def _parse_outcome(text: str) -> str:
@@ -413,9 +463,7 @@ _PINNED_PARSES = {
 
 @pytest.mark.parametrize("group", sorted(_PINNED_PARSES))
 def test_parse_outcomes_are_pinned(group):
-    rng = random.Random(group)
-    texts = _pinned_texts(group)
-    edits = [_edited(rng, rng.choice(texts)) for _ in range(1500)]
+    texts, edits = _pinned_inputs(group)
     outcomes = "\n".join(map(_parse_outcome, texts + edits))
     assert hashlib.sha256(outcomes.encode()).hexdigest()[:16] == _PINNED_PARSES[group]
 
@@ -699,10 +747,7 @@ _PINNED_NOPS_PARSES = "4ab7541223c7cd86"
 
 
 def test_parse_nops_outcomes_are_pinned():
-    rng = random.Random("nops")
-    codes = list(CORPUS.values()) + [gen_program(random.Random(seed)) for seed in range(8)]
-    texts = [emit_rbr(rules_of(code, nops=True)) for code in codes]
-    edits = [_edited(rng, rng.choice(texts)) for _ in range(1500)]
+    texts, edits = _pinned_inputs("nops")
     outcomes = "\n".join(map(_parse_outcome, texts + edits))
     assert hashlib.sha256(outcomes.encode()).hexdigest()[:16] == _PINNED_NOPS_PARSES
 
@@ -725,10 +770,9 @@ def _parse_counting_scans(monkeypatch, text):
         return parse_rbr(text), counter.scans
 
 
-# Emitted text is read in units, so the token path runs only where a unit
-# cannot stand: a last statement without a comma, an empty body, the end
-# of the text.  Read token by token, the plain and --nops texts of the
-# 24 KB contract took 17,329 and 103,858 scans.
+# The emitted reader reads every emitted text, so the token reader scans
+# nothing.  Read token by token, the plain and --nops texts of the 24 KB
+# contract take 17,329 and 103,858 scans.
 @pytest.mark.parametrize("nops", [False, True])
 def test_emitted_24k_text_takes_few_token_scans(monkeypatch, nops):
     code = gen_program(random.Random(1), segments=1161)  # bench seed 1 of decompile-24k
@@ -736,7 +780,7 @@ def test_emitted_24k_text_takes_few_token_scans(monkeypatch, nops):
     rules = decompile(code, nops=nops)
     parsed, scans = _parse_counting_scans(monkeypatch, emit_rbr(rules))
     assert parsed == rules
-    assert scans <= 200
+    assert scans == 0
 
 
 @pytest.mark.parametrize("nops", [False, True])
@@ -745,7 +789,7 @@ def test_emitted_corpus_texts_take_few_token_scans(monkeypatch, nops):
         rules = decompile(code, nops=nops)
         parsed, scans = _parse_counting_scans(monkeypatch, emit_rbr(rules))
         assert parsed == rules, name
-        assert scans <= 200, name
+        assert scans == 0, name
 
 
 def test_roundtrip_recovers_layout_tables():

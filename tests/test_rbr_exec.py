@@ -193,6 +193,30 @@ def test_negative_exponent_is_an_error():
         run_rbr(parse_rbr("block_0() =>\n  s0 = 0 - 1,\n  s1 = 2 ^ s0"), {})
 
 
+def _power(base: int, exponent: int) -> int:
+    rules = parse_rbr("block_0(g0, g1) =>\n  g0 = g0 ^ g1")
+    return run_rbr(rules, {"g0": base, "g1": exponent})[0].bindings["g0"]
+
+
+def test_power_up_to_the_bit_bound_is_exact():
+    assert _power(65535, 65535).bit_length() == 1_048_559
+    assert _power(2, (1 << 20) - 1) == 1 << (1 << 20) - 1  # 2**20 bits
+    for base in (0, 1, -1):
+        for exponent in (0, 1, 2, 3, 1 << 256):
+            assert _power(base, exponent) == base**exponent
+
+
+# 2 ** 2 ** 20 has one bit more than the bound, 3 ** 661,600 has 1,048,612.
+@pytest.mark.parametrize(
+    "base, exponent",
+    [(2, 1 << 20), (3, 661_600), (-2, 1 << 256), (1 << 600_000, 2), (1 << 300, 1 << 300)],
+    ids=["2^2^20", "3^661600", "-2^2^256", "(2^600000)^2", "(2^300)^2^300"],
+)
+def test_power_past_the_bit_bound_is_an_error(base, exponent):
+    with pytest.raises(EvmRbrError, match="a power of more than 1048576 bits"):
+        _power(base, exponent)
+
+
 def test_index_runs_like_the_rule_list():
     rules = rules_of(COUNTER_LOOP)
     index = index_rules(rules)
