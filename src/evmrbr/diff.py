@@ -77,10 +77,11 @@ def differential_check(
     has split it already passes its blocks, and this call resolves them
     instead of decoding and splitting ``code`` again.  The rules are indexed
     once and every case runs on that index; the concrete side runs on
-    ``code`` itself, which each case disassembles afresh.  Divergences and
-    rule-interpreter failures are report content; concrete-interpreter
-    failures raise, since they mean the program is outside the oracle's
-    subset.
+    ``code`` itself, which each case disassembles again, and ``disassemble``
+    copies the instructions it kept from the first decode of these bytes.
+    Divergences and rule-interpreter failures are report content;
+    concrete-interpreter failures raise, since they mean the program is
+    outside the oracle's subset.
     """
     if blocks is None:
         blocks = split_blocks(disassemble(code))

@@ -41,11 +41,12 @@ def run_evm(
 ) -> tuple[MachineState, list[int]]:
     """Execute ``code``; returns the final state and the block-entry trace.
 
-    ``code`` is disassembled once and the loop runs on that instruction
-    list by index.  A block entry is recorded where execution can enter
-    one: offset 0, every executed JUMPDEST, and the instruction after a
-    JUMPI that falls through.  Halts on STOP/RETURN/REVERT/INVALID or when
-    execution runs off the end of the code (implicit STOP).  Raises
+    ``code`` is disassembled once per call (a copy of the kept result when
+    ``disassemble`` decoded the same bytes last) and the loop runs on that
+    instruction list by index.  A block entry is recorded where execution
+    can enter one: offset 0, every executed JUMPDEST, and the instruction
+    after a JUMPI that falls through.  Halts on STOP/RETURN/REVERT/INVALID
+    or when execution runs off the end of the code (implicit STOP).  Raises
     StepLimitExceeded after ``step_limit`` instructions, UnsupportedOpcode
     outside the subset, and EvmFault on stack violations or invalid jumps.
     """

@@ -120,7 +120,9 @@ def _header_table(text: str, line_re, entry_re, groups) -> list[tuple[int, ...]]
 def parse_rbr(text: str) -> list[Rule]:
     """Parse rule text; raises RbrSyntaxError outside the grammar."""
     tables = _layout_tables(text)
-    rules = _read_emitted(text, *tables)
+    # Text with \r\n line endings is the emitted shape once they read \n; the
+    # header tables are the same either way.  Errors are found in ``text``.
+    rules = _read_emitted(text.replace("\r\n", "\n") if "\r" in text else text, *tables)
     if rules is None:
         bad = _search_bad(text, 0, len(text))
         if bad >= 0:

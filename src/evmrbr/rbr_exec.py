@@ -9,7 +9,8 @@ fresh-derived data carries no information.
 Arithmetic is over unbounded integers: division and modulo truncate
 toward zero and yield 0 for a zero divisor (as the machine the rules came
 from does); ``not`` is the 256-bit complement, the one width-bounded
-concession the bit operations need.
+concession the bit operations need.  A product or power too large to
+compute in bounded time raises EvmRbrError instead.
 """
 
 from __future__ import annotations
@@ -47,24 +48,31 @@ def _trunc_mod(a: int, b: int) -> int:
     return a - b * _trunc_div(a, b)
 
 
-# A power of more bits than this raises instead of taking unbounded time;
-# 65535 ** 65535 (1,048,559 bits) stays below it.
-_POW_BITS = 1 << 20
+# A product or power of more bits than this raises instead of taking
+# unbounded time; 65535 ** 65535 (1,048,559 bits) stays below it.
+_MAX_BITS = 1 << 20
+
+
+def _mul(a: int, b: int) -> int:
+    # a * b has at most a.bit_length() + b.bit_length() bits.
+    if a.bit_length() + b.bit_length() > _MAX_BITS:
+        raise EvmRbrError(f"a product of operands of more than {_MAX_BITS} bits")
+    return a * b
 
 
 def _pow(a: int, b: int) -> int:
     if b < 0:
         raise EvmRbrError("negative exponent")
     # a ** b has floor(b * log2|a|) + 1 bits; bases 0, 1 and -1 stay exact.
-    if abs(a) > 1 and (b >= _POW_BITS or b * math.log2(abs(a)) >= _POW_BITS):
-        raise EvmRbrError(f"a power of more than {_POW_BITS} bits")
+    if abs(a) > 1 and (b >= _MAX_BITS or b * math.log2(abs(a)) >= _MAX_BITS):
+        raise EvmRbrError(f"a power of more than {_MAX_BITS} bits")
     return a**b
 
 
 _OPS = {
     "+": operator.add,
     "-": operator.sub,
-    "*": operator.mul,
+    "*": _mul,
     "/": _trunc_div,
     "%": _trunc_mod,
     "^": _pow,

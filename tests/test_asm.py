@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from evmrbr import asm
 from evmrbr.asm import Instruction, assemble, disassemble, format_listing, parse_hex
 from evmrbr.errors import InconsistentOffsets, NonHexCharacter, OddDigitCount, TruncatedPush
 from evmrbr.opcodes import BY_NAME, for_byte
@@ -146,3 +147,51 @@ def test_instruction_is_a_named_tuple():
     assert push._replace(offset=9) == Instruction(9, BY_NAME["PUSH2"], 0x1234)
     # disassembly builds the same class, without the keyword constructor
     assert type(disassemble(b"\x00")[0]) is Instruction
+
+
+# The decoder itself, not the counting stand-in the fixture below installs.
+decode = asm._decode
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """The codes ``disassemble`` decodes, starting from an empty memo."""
+    seen = []
+    monkeypatch.setattr(asm, "_last", (b"", ()))
+    monkeypatch.setattr(asm, "_decode", lambda code: seen.append(code) or decode(code))
+    return seen
+
+
+def test_memo_gives_a_fresh_decode_as_a_new_list(decodes):
+    a, b = bytes.fromhex("600560040100"), bytes.fromhex("611234565b00")
+    results = []
+    for code in (a, a, b, a, b, b, b"", a, a):
+        instrs = disassemble(code)
+        assert instrs == decode(code)
+        results.append(instrs)
+    assert len({id(instrs) for instrs in results}) == len(results)
+    assert decodes == [a, b, a, b, b"", a]  # only when the code changed
+    results[-1].clear()
+    results[-1].append(Instruction(0, BY_NAME["STOP"]))
+    assert disassemble(a) == decode(a) == results[0]
+
+
+def test_memo_takes_any_bytes_like_code(decodes):
+    code = bytes.fromhex("6005600401600055")
+    expected = decode(code)
+    buffer = bytearray(code)
+    assert disassemble(buffer) == disassemble(memoryview(code)) == disassemble(code) == expected
+    assert decodes == [code]
+    buffer[0] = 0x00  # the memo holds a copy, not the caller's buffer
+    assert disassemble(buffer) == decode(bytes(buffer)) != expected
+
+
+def test_memo_keeps_no_truncated_push(decodes):
+    good, bad = bytes.fromhex("600560040100"), bytes.fromhex("00611234600055" + "62ffff")
+    first = disassemble(good)
+    for _ in range(3):
+        with pytest.raises(TruncatedPush) as err:
+            disassemble(bad)
+        assert err.value.offset == 7
+    assert disassemble(good) == first
+    assert decodes == [good, bad, bad, bad]

@@ -11,6 +11,7 @@ import pytest
 
 from corpus import ADD_STORE, CORPUS
 
+import evmrbr.asm
 import evmrbr.cli
 import evmrbr.diff
 import evmrbr.evm_exec
@@ -226,6 +227,21 @@ def test_check_ends_fast_on_nested_powers():
     ]
 
 
+def test_check_ends_fast_on_repeated_squaring():
+    # x = 3, then x = x * x 64 times: over unbounded integers the rules'
+    # product would grow without bound, so it fails as a rule-run divergence.
+    done = cli_process("check", "-", "--runs", "3",
+                       stdin="600360005b908002906001018060401160045700", timeout=20)
+    assert done.returncode == 3
+    *cases, last = done.stdout.splitlines()
+    assert last == "divergences: 3/3"
+    assert cases == [
+        f"case {i}: rule-run evm=halt rbr=EvmRbrError: a product of operands of more than"
+        " 1048576 bits"
+        for i in range(3)
+    ]
+
+
 def test_check_unresolved_is_pipeline_error(run):
     code, out, err = run("check", "-", stdin="60003556")
     assert code == 2
@@ -297,8 +313,19 @@ def test_check_call_counts(run, monkeypatch):
     assert (code, out) == (0, "divergences: 0/4\n")
     # The CLI decodes and splits once and resolves for its warnings, and
     # differential_check resolves the same blocks for its rules; the concrete
-    # side decodes the raw code once per case.
+    # side calls disassemble once per case, and the memo answers all but the
+    # first.
     assert calls == {"disassemble": 1 + 4, "split_blocks": 1, "resolve_cfg": 2}
+
+
+def test_check_decodes_the_code_once(run, monkeypatch):
+    decodes = []
+    decode = evmrbr.asm._decode
+    monkeypatch.setattr(evmrbr.asm, "_last", (b"", ()))  # an empty memo
+    monkeypatch.setattr(evmrbr.asm, "_decode", lambda code: decodes.append(code) or decode(code))
+    code, out, _ = run("check", "-", "--runs", "4", stdin=CORPUS["counter_loop"].hex())
+    assert (code, out) == (0, "divergences: 0/4\n")
+    assert decodes == [CORPUS["counter_loop"]]
 
 
 @pytest.fixture(params=[True, False], ids=["collecting", "paused"])

@@ -792,6 +792,41 @@ def test_emitted_corpus_texts_take_few_token_scans(monkeypatch, nops):
         assert scans == 0, name
 
 
+# Text with \r\n line endings (a Windows checkout, say) is emitted text too.
+@pytest.mark.parametrize("group", ["corpus", "generated", "saco"])
+def test_crlf_pinned_texts_take_no_token_scans(monkeypatch, group):
+    for text in _pinned_texts(group):
+        crlf = text.replace("\n", "\r\n")
+        parsed, scans = _parse_counting_scans(monkeypatch, crlf)
+        assert parsed == parse_rbr(text) == parse._read_tokens(crlf, *parse._layout_tables(crlf))
+        assert scans == 0
+
+
+@pytest.mark.parametrize("kind", ["plain", "nops", "saco"])
+def test_crlf_24k_text_takes_no_token_scans(monkeypatch, kind):
+    text = _24k_texts()[kind]
+    parsed, scans = _parse_counting_scans(monkeypatch, text.replace("\n", "\r\n"))
+    assert parsed == parse_rbr(text)
+    assert scans == 0
+
+
+def test_mixed_line_endings_parse_as_the_token_reader_does(monkeypatch):
+    # Each line break of a pinned text becomes \n or \r\n, and in half of
+    # the texts also \r\r\n or a lone \r; the outcome (rules or error) is
+    # the token reader's alone.
+    rng = random.Random("line-endings")
+    texts = _pinned_texts("corpus") + _pinned_texts("saco")
+    edits = []
+    for i in range(200):
+        lines = rng.choice(texts).split("\n")
+        breaks = rng.choices(["\n", "\r\n", "\r\r\n", "\r"][: 2 + 2 * (i % 2)], k=len(lines))
+        edits.append("".join(line + end for line, end in zip(lines, breaks))[: -len(breaks[-1])])
+    outcomes = [_parse_outcome(text) for text in edits]
+    monkeypatch.setattr(parse, "_read_emitted", lambda *args: None)
+    assert outcomes == [_parse_outcome(text) for text in edits]
+    assert 0 < sum(outcome.startswith("[") for outcome in outcomes) < len(edits)
+
+
 def test_roundtrip_recovers_layout_tables():
     rules = rules_of(CORPUS["memory_shuffle"])
     parsed = parse_rbr(emit_rbr(rules))

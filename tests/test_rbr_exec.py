@@ -217,6 +217,29 @@ def test_power_past_the_bit_bound_is_an_error(base, exponent):
         _power(base, exponent)
 
 
+def _product(a: int, b: int) -> int:
+    rules = parse_rbr("block_0(g0, g1) =>\n  g0 = g0 * g1")
+    return run_rbr(rules, {"g0": a, "g1": b})[0].bindings["g0"]
+
+
+# Operands of 2^20 bits in all multiply; one bit more raises.
+@pytest.mark.parametrize(
+    "a, b", [((1 << 600_000) - 1, (1 << 448_576) - 1), (-(1 << 1_048_574), 1), (0, 1 << 1_048_575)],
+    ids=["600000+448576", "-2^1048574*1", "0*2^1048575"],
+)
+def test_product_up_to_the_bit_bound_is_exact(a, b):
+    assert _product(a, b) == a * b
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1 << 600_000, 1 << 448_576), (1 << 1_048_576, 1), (-(1 << 524_288), -(1 << 524_288))],
+    ids=["600001+448577", "2^1048576*1", "(-2^524288)^2"],
+)
+def test_product_past_the_bit_bound_is_an_error(a, b):
+    with pytest.raises(EvmRbrError, match="a product of operands of more than 1048576 bits"):
+        _product(a, b)
+
+
 def test_index_runs_like_the_rule_list():
     rules = rules_of(COUNTER_LOOP)
     index = index_rules(rules)
