@@ -24,6 +24,7 @@ from evmrbr.cfg import (
     resolve_cfg,
     split_blocks,
 )
+from evmrbr.cli import _cfg_summary
 from evmrbr.errors import TruncatedPush
 from evmrbr.evm_exec import run_evm
 from evmrbr.opcodes import for_byte
@@ -594,3 +595,47 @@ def test_pinned_resolves_reach_every_reason():
         "branch targets dropped",
         "fall target dropped",
     }
+
+
+# Digests of emit_dot plus the `cfg` summary of each of _pinned_resolves on
+# each of _RESOLVER_PROGRAMS, recorded before both renderers read
+# successors().
+_PINNED_RENDERS = {
+    "add_store": "660bafcf5a4832ab",
+    "bitops": "addeb1e41c1bded8",
+    "branch target dropped": "00a6edecc42bb1ce",
+    "branch targets dropped": "94b0c233148dd233",
+    "branch-off-code-end": "addff5539b94f253",
+    "calldata_env": "32faedc595a639c4",
+    "clone-cap": "602cff30028dfdb1",
+    "counter_loop": "d6ed398fd73cefdc",
+    "dispatcher": "433e99e8af0a60b7",
+    "fall target dropped": "09081ebc4093d555",
+    "iszero_chain": "2da8b9f0310f579a",
+    "jump target dropped": "c68cb4cab2405665",
+    "jumpi_const": "d6d3c8ad749b9d70",
+    "memory_shuffle": "62b93957f28b1bc7",
+    "not-a-block-start": "55972d6ff28e3b71",
+    "not-a-jumpdest": "92e4ac012e5addf5",
+    "not_store": "2b6ae4efe6498ca4",
+    "pc-dup-swap-invalid": "7ed768eb67b3dca1",
+    "progen-11": "0163d183cb76e492",
+    "progen-29": "ec776ecc31809983",
+    "progen-3": "ede4cfdca3ce013b",
+    "progen-47": "ae0b8cae56061f71",
+    "progen-83": "8a47a83755cf0623",
+    "six_loops": "d748246447cb0d53",
+    "stack-underflow": "ef7613beafd5fdaa",
+    "subroutine-clones": "26ae3ce8ef635786",
+    "target-lost-when-joining": "4822b43ea241e4ec",
+    "two_block_jump": "ce7cccbfc5ccc2d9",
+    "two_caller_clone": "681814dc1c6bd1fa",
+    "unknown-target": "18ed262bc8992a11",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RENDERS))
+def test_cfg_renderers_are_pinned(name):
+    cfgs = _pinned_resolves(name, _RESOLVER_PROGRAMS[name])
+    text = "".join(emit_dot(cfg) + _cfg_summary(cfg) for cfg in cfgs)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _PINNED_RENDERS[name]
