@@ -16,7 +16,7 @@ addresses, storage keys and calldata offsets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .asm import Instruction
@@ -51,6 +51,15 @@ class Halt:
 
 
 Terminator = Union[Jump, JumpI, FallThrough, Halt]
+
+
+def successors(term: Terminator) -> tuple[str, ...]:
+    """The ids a terminator leads to, the taken branch first."""
+    if isinstance(term, JumpI):
+        return (term.taken, term.fallthrough)
+    if isinstance(term, (Jump, FallThrough)):
+        return (term.target,)
+    return ()
 
 
 @dataclass
@@ -184,10 +193,15 @@ class _Variant:
         self.entry = entry
         # consts: per instruction, or None when the entry stack underflows.
         self.consts: list[tuple[AbstractValue, ...]] | None = None
-        # cont: ("jump", pc) | ("jumpi", pc, pc) | ("jumpi-unres", reason, pc)
-        #     | ("fall", pc) | ("halt",) | ("halt-unres", reason) | ("fault", reason)
-        self.cont: tuple = ("halt",)
-        self.succ: dict[str, tuple[int, int] | None] = {}
+        # cont: (terminator class, successor pcs, unresolved reason or None);
+        # an unresolved JUMPI is (FallThrough, (fall pc,), reason) and a
+        # stack underflow (Halt, (), reason).
+        self.cont: tuple = (Halt, (), None)
+        # succ: per pc of cont, the (pc, variant index) of the successor, or
+        # None where the clone cap refused it.  A visit queues its edges with
+        # a new list that each appends to once, in order: the worklist is
+        # first in, first out.
+        self.succ: list[tuple[int, int] | None] = []
 
 
 def _join_stacks(
@@ -240,7 +254,7 @@ class _Underflow(Exception):
 def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
     """Resolve jump targets into a Cfg, cloning context-dependent blocks.
 
-    Never raises: a jump that cannot be resolved is listed in
+    A jump that cannot be resolved raises nothing: it is listed in
     ``Cfg.unresolved`` with its reason, and the offending edge is dropped.
     The reasons are:
 
@@ -255,8 +269,14 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
       so the edge into a new one is refused;
     - ``jump target dropped``, ``branch target dropped``, ``branch targets
       dropped`` and ``fall target dropped``: a resolved edge whose
-      successor the clone cap refused.
+      successor the clone cap refused; a branch that keeps only its fall
+      edge becomes a FallThrough, and an unresolved branch whose fall edge
+      is refused halts with ``fall target dropped``.
+
+    Raises ValueError if ``clone_cap`` is below 1.
     """
+    if clone_cap < 1:
+        raise ValueError(f"clone cap must be at least 1, not {clone_cap}")
     if not blocks:
         return Cfg(blocks={}, entry=None)
 
@@ -268,6 +288,9 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
     # (pc, entry stack) -> continuation(); the worklist reaches many blocks
     # again from an entry it has simulated before.
     simulated: dict[tuple[int, tuple], tuple] = {}
+    # (pc, entry height, continuation) -> the one variant of pc that a new
+    # entry with that height and continuation joins.
+    matching: dict[tuple[int, int, tuple], _Variant] = {}
 
     def continuation(block: Block, entry: tuple) -> tuple:
         """``_continuation`` once per (block, entry stack) of this call."""
@@ -280,86 +303,74 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
     def _continuation(block: Block, entry: tuple) -> tuple:
         """Simulate the block from ``entry``: (consts, the resolved
         continuation, the exit stack handed to successors).  An entry stack
-        that underflows gives no consts and a ``fault`` continuation."""
+        that underflows gives no consts and a halt with its reason."""
         try:
             consts, exit_stack = _simulate(block, entry)
         except _Underflow as uf:
-            return None, ("fault", f"stack underflow at offset {uf.offset}"), ()
+            return None, (Halt, (), f"stack underflow at offset {uf.offset}"), ()
         term = block.terminator
         if isinstance(term, Jump):
             target = exit_stack[-1] if exit_stack else None
             reason = _check_jump_target(by_pc, target)
-            if reason:
-                return consts, ("halt-unres", reason), exit_stack[:-1]
-            return consts, ("jump", target), exit_stack[:-1]
+            cont = (Halt, (), reason) if reason else (Jump, (target,), None)
+            return consts, cont, exit_stack[:-1]
         if isinstance(term, JumpI):
             target = exit_stack[-1] if exit_stack else None
-            after = exit_stack[:-2]
             fall_pc = block.end_pc
             if fall_pc not in by_pc:
-                return consts, ("halt-unres", "fall target off code end"), after
+                return consts, (Halt, (), "fall target off code end"), exit_stack[:-2]
             reason = _check_jump_target(by_pc, target)
-            if reason:
-                return consts, ("jumpi-unres", reason, fall_pc), after
-            return consts, ("jumpi", target, fall_pc), after
-        if isinstance(term, FallThrough):
-            next_pc = block.end_pc
-            if next_pc not in by_pc:
-                # Running off the end of code halts (implicit STOP).
-                return consts, ("halt",), exit_stack
-            return consts, ("fall", next_pc), exit_stack
-        return consts, ("halt",), exit_stack
+            cont = (FallThrough, (fall_pc,), reason) if reason else (JumpI, (target, fall_pc), None)
+            return consts, cont, exit_stack[:-2]
+        if isinstance(term, FallThrough) and block.end_pc in by_pc:
+            return consts, (FallThrough, (block.end_pc,), None), exit_stack
+        # A halt, or running off the end of code (implicit STOP).
+        return consts, (Halt, (), None), exit_stack
 
-    def process(pc: int, entry: tuple, pred: tuple[_Variant, str]) -> None:
+    def process(pc: int, entry: tuple, pred: list[tuple[int, int] | None]) -> None:
         block = by_pc[pc]
         consts, cont, succ_stack = continuation(block, entry)
-        sig = (len(entry), cont)
-        vars_ = variants.setdefault(pc, [])
-        for var in vars_:
-            if (len(var.entry), var.cont) == sig:
-                pred[0].succ[pred[1]] = (pc, var.index)
-                joined = _join_stacks(var.entry, entry)
-                # A fault variant is never joined: its fault needs only the height.
-                if consts is None or joined == var.entry:
-                    return
-                var.entry = joined
-                consts, cont, succ_stack = continuation(block, joined)
-                if cont != var.cont:
-                    # Joining contexts lost the target; flag and cut the edge.
-                    cont, succ_stack = ("halt-unres", "target lost when joining contexts"), ()
-                break
+        sig = (pc, len(entry), cont)
+        var = matching.get(sig)
+        if var is not None:
+            pred.append((pc, var.index))
+            joined = _join_stacks(var.entry, entry)
+            # A fault variant is never joined: its fault needs only the height.
+            if consts is None or joined == var.entry:
+                return
+            var.entry = joined
+            consts, cont, succ_stack = continuation(block, joined)
+            if cont != var.cont:
+                # Joining contexts lost the target; flag and cut the edge.
+                del matching[sig]
+                cont, succ_stack = (Halt, (), "target lost when joining contexts"), ()
         else:
+            vars_ = variants.setdefault(pc, [])
             # A fault variant is dead code, so the clone cap does not count it.
             if len(vars_) >= clone_cap and consts is not None:
                 unresolved[(str(pc), f"clone cap {clone_cap} exceeded")] = None
-                pred[0].succ[pred[1]] = None
+                pred.append(None)
                 return
-            var = _Variant(len(vars_), entry)
+            var = matching[sig] = _Variant(len(vars_), entry)
             vars_.append(var)
-            pred[0].succ[pred[1]] = (pc, var.index)
+            pred.append((pc, var.index))
 
         var.consts = consts
         var.cont = cont
-        if cont[0] in ("halt-unres", "jumpi-unres", "fault"):
-            unresolved[((pc, var.index), cont[1])] = None
+        _, pcs, reason = cont
+        if reason:
+            unresolved[((pc, var.index), reason)] = None
+        var.succ = succ = []
+        for target in pcs:
+            work.append((target, succ_stack, succ))
 
-        if cont[0] == "jump":
-            work.append((cont[1], succ_stack, (var, "jump")))
-        elif cont[0] == "jumpi":
-            work.append((cont[1], succ_stack, (var, "taken")))
-            work.append((cont[2], succ_stack, (var, "fall")))
-        elif cont[0] == "jumpi-unres":
-            work.append((cont[2], succ_stack, (var, "fall")))
-        elif cont[0] == "fall":
-            work.append((cont[1], succ_stack, (var, "fall")))
-
-    # The entry edge comes from a root that is no block.
-    root = _Variant(-1, ())
-    work: deque = deque([(blocks[0].start_pc, (), (root, "entry"))])
+    # The entry edge comes from no block.
+    entry_edge: list = []
+    work: deque = deque([(blocks[0].start_pc, (), entry_edge)])
     while work:
         process(*work.popleft())
 
-    return _build_cfg(by_pc, variants, unresolved, root)
+    return _build_cfg(by_pc, variants, unresolved, entry_edge[0])
 
 
 def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
@@ -373,19 +384,14 @@ def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
     return None
 
 
-def _build_cfg(by_pc, variants, unresolved, root) -> Cfg:
+def _build_cfg(by_pc, variants, unresolved, entry) -> Cfg:
     """Name the variants, read their successors, and add a "dropped" record
     for each resolved edge whose successor the clone cap refused."""
-    ids: dict[tuple[int, int], str] = {}
-    for pc, vars_ in variants.items():
-        for var in vars_:
-            ids[(pc, var.index)] = (
-                str(pc) if len(vars_) == 1 else f"{pc}_c{var.index}"
-            )
-
-    def succ_id(var: _Variant, role: str) -> str | None:
-        key = var.succ.get(role)
-        return ids[key] if key is not None else None
+    ids = {
+        (pc, var.index): str(pc) if len(vars_) == 1 else f"{pc}_c{var.index}"
+        for pc, vars_ in variants.items()
+        for var in vars_
+    }
 
     # Blocks in id_sort_key order: by pc, then variant index.
     blocks_out: dict[str, Block] = {}
@@ -394,32 +400,16 @@ def _build_cfg(by_pc, variants, unresolved, root) -> Cfg:
         for var in variants.get(pc, []):
             key = (pc, var.index)
             kind = var.cont[0]
+            targets = list(map(ids.get, var.succ))
             term: Terminator = Halt()
-            if kind == "jump":
-                tgt = succ_id(var, "jump")
-                if tgt is None:
-                    unresolved[(key, "jump target dropped")] = None
-                else:
-                    term = Jump(tgt)
-            elif kind == "jumpi":
-                taken, fall = succ_id(var, "taken"), succ_id(var, "fall")
-                if taken is not None and fall is not None:
-                    term = JumpI(taken, fall)
-                elif fall is not None:
-                    unresolved[(key, "branch target dropped")] = None
-                    term = FallThrough(fall)
-                else:
-                    unresolved[(key, "branch targets dropped")] = None
-            elif kind == "jumpi-unres":
-                fall = succ_id(var, "fall")
-                if fall is not None:
-                    term = FallThrough(fall)
-            elif kind == "fall":
-                tgt = succ_id(var, "fall")
-                if tgt is None:
-                    unresolved[(key, "fall target dropped")] = None
-                else:
-                    term = FallThrough(tgt)
+            if None not in targets:
+                term = kind(*targets)
+            elif targets[-1] is not None:
+                # Only a branch can lose one edge and keep another.
+                unresolved[(key, "branch target dropped")] = None
+                term = FallThrough(targets[-1])
+            else:
+                unresolved[(key, _DROPPED[kind])] = None
             bid = ids[key]
             blocks_out[bid] = Block(
                 id=bid,
@@ -432,18 +422,20 @@ def _build_cfg(by_pc, variants, unresolved, root) -> Cfg:
                 const_operands=None if var.consts is None else list(var.consts),
             )
         if pc not in variants:
-            blocks_out[str(pc)] = Block(
-                id=str(pc),
-                start_pc=pc,
-                instrs=list(src.instrs),
-                terminator=Halt(),
-                entry_height=None,
-                dead=True,
-            )
+            blocks_out[src.id] = replace(src, instrs=list(src.instrs), terminator=Halt(), dead=True)
 
     # A clone-cap record already names its pc.
     records = [(ids.get(key, key), reason) for key, reason in unresolved]
-    return Cfg(blocks=blocks_out, entry=succ_id(root, "entry"), unresolved=records)
+    return Cfg(blocks=blocks_out, entry=ids[entry], unresolved=records)
+
+
+# The record of a resolved edge whose successor the clone cap refused.
+_DROPPED = {
+    Jump: "jump target dropped", JumpI: "branch targets dropped", FallThrough: "fall target dropped"
+}
+
+# The label of each successor edge in the DOT output, in successors() order.
+_DOT_LABELS = {Jump: ("jump",), JumpI: ("true", "false"), FallThrough: ("fall",), Halt: ()}
 
 
 def emit_dot(cfg: Cfg) -> str:
@@ -458,12 +450,7 @@ def emit_dot(cfg: Cfg) -> str:
         lines.append(f'  "{bid}" [label="{label}"{style}];')
     for bid in order:
         term = cfg.blocks[bid].terminator
-        if isinstance(term, Jump):
-            lines.append(f'  "{bid}" -> "{term.target}" [label="jump"];')
-        elif isinstance(term, JumpI):
-            lines.append(f'  "{bid}" -> "{term.taken}" [label="true"];')
-            lines.append(f'  "{bid}" -> "{term.fallthrough}" [label="false"];')
-        elif isinstance(term, FallThrough):
-            lines.append(f'  "{bid}" -> "{term.target}" [label="fall"];')
+        for target, label in zip(successors(term), _DOT_LABELS[type(term)]):
+            lines.append(f'  "{bid}" -> "{target}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ import logging
 import sys
 
 from .asm import disassemble, format_listing, parse_hex
-from .cfg import FallThrough, Jump, JumpI, emit_dot, id_sort_key, resolve_cfg, split_blocks
+from .cfg import FallThrough, Halt, Jump, JumpI, emit_dot, id_sort_key
+from .cfg import resolve_cfg, split_blocks, successors
 from .diff import differential_check
 from .emit import emit_rbr, export_saco
 from .errors import EvmRbrError, HexError
@@ -84,20 +85,17 @@ def _write_output(text: str, output: str | None) -> None:
             handle.write(text)
 
 
+# The word naming each terminator in the block summary.
+_SUMMARY_KINDS = {Jump: "jump", JumpI: "branch", FallThrough: "fall", Halt: "halt"}
+
+
 def _cfg_summary(cfg) -> str:
     lines = [f"entry: {cfg.entry}"]
     for bid in sorted(cfg.blocks, key=id_sort_key):
         block = cfg.blocks[bid]
         height = "-" if block.entry_height is None else str(block.entry_height)
-        term = block.terminator
-        if isinstance(term, Jump):
-            kind = f"jump -> {term.target}"
-        elif isinstance(term, JumpI):
-            kind = f"branch -> {term.taken}, {term.fallthrough}"
-        elif isinstance(term, FallThrough):
-            kind = f"fall -> {term.target}"
-        else:
-            kind = "halt"
+        succ = ", ".join(successors(block.terminator))
+        kind = _SUMMARY_KINDS[type(block.terminator)] + (f" -> {succ}" if succ else "")
         dead = " dead" if block.dead else ""
         lines.append(
             f"block {bid}: pc={block.start_pc} bytes={block.byte_size} "

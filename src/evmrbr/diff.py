@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .asm import disassemble
-from .cfg import Block, Cfg, FallThrough, Jump, JumpI, id_sort_key, resolve_cfg, split_blocks
+from .cfg import Block, Cfg, id_sort_key, resolve_cfg, split_blocks, successors
 from .errors import EvmRbrError
 from .evm_exec import run_evm
 from .opcodes import KINDS
@@ -169,20 +169,11 @@ def _initial_bindings(layout, calldata: bytearray, env, storage) -> dict[str, in
 
 
 def _pc_edges(cfg: Cfg) -> set[tuple[int, int]]:
-    edges = set()
-    for block in cfg.live_blocks():
-        pc = block.start_pc
-        term = block.terminator
-        targets = []
-        if isinstance(term, Jump):
-            targets = [term.target]
-        elif isinstance(term, JumpI):
-            targets = [term.taken, term.fallthrough]
-        elif isinstance(term, FallThrough):
-            targets = [term.target]
-        for target in targets:
-            edges.add((pc, id_sort_key(target)[0]))
-    return edges
+    return {
+        (block.start_pc, id_sort_key(target)[0])
+        for block in cfg.live_blocks()
+        for target in successors(block.terminator)
+    }
 
 
 def _compare(case, layout, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report):

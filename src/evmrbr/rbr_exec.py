@@ -21,10 +21,11 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import EvmRbrError, NoApplicableRule, StepLimitExceeded, UnboundVariable
+from .opcodes import WORD
 from .rbr import Assign, BinOp, BitOp, Not, Num, Rule, Var
 
 # ``not x`` runs as ``x xor`` this word mask.
-_NOT_MASK = Num((1 << 256) - 1)
+_NOT_MASK = Num(WORD)
 
 
 @dataclass

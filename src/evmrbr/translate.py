@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .cfg import Block, Cfg, Halt, Jump, JumpI, id_sort_key
+from .cfg import Block, Cfg, Jump, JumpI, id_sort_key, successors
 from .errors import EvmRbrError, StackUnderflow
 from .opcodes import KINDS, for_byte
 from .rbr import (
@@ -91,6 +91,9 @@ _SHARED_BY_OPERAND = frozenset(
 )
 # Opcode byte -> its nop marker, shared by every rule that leaves one.
 _NOPS = [Nop(for_byte(code).mnemonic) for code in range(256)]
+# The terminators whose first successor is the target their JUMP or JUMPI
+# popped; a FallThrough that ends in a JUMPI lost that target.
+_JUMPS = frozenset({Jump, JumpI})
 
 
 class UnsupportedGuard(EvmRbrError):
@@ -333,7 +336,7 @@ def _translate_block(
         },
     )
     instrs = block.instrs
-    term = block.terminator
+    succ = successors(block.terminator)
     name = f"block_{block.id}"
     height = block.entry_height
 
@@ -342,12 +345,12 @@ def _translate_block(
     end = len(instrs)
     carried = False  # the jump target reached the stack earlier
     window = None
-    if isinstance(term, (Jump, JumpI)):
-        target_pc = id_sort_key(term.target if isinstance(term, Jump) else term.taken)[0]
+    if type(block.terminator) in _JUMPS:
+        target_pc = id_sort_key(succ[0])[0]
         end -= 1
         if end and instrs[end - 1].immediate == target_pc:  # only a PUSH has one
             end -= 1
-            if isinstance(term, JumpI):
+            if len(succ) == 2:
                 start = end
                 while start and _KINDS[instrs[start - 1].opcode.code][0] == "negation":
                     start -= 1
@@ -381,8 +384,8 @@ def _translate_block(
     if nops:
         body.extend(_NOPS[ins.opcode.code] for ins in instrs[end:])
 
-    if not isinstance(term, JumpI):
-        cont = None if isinstance(term, Halt) else Call(f"block_{term.target}", state.m + 1)
+    if len(succ) < 2:
+        cont = Call(f"block_{succ[0]}", state.m + 1) if succ else None
         return [Rule(name, height, layout, None, body, cont)]
 
     # The jump_ pair takes everything live when the block rule hands over,
@@ -402,8 +405,8 @@ def _translate_block(
     after = state.m + 1
     return [
         Rule(name, height, layout, None, body, Call(jump_name, hand_over)),
-        Rule(jump_name, hand_over, layout, taken_guard, [], Call(f"block_{term.taken}", after)),
-        Rule(jump_name, hand_over, layout, fall_guard, [], Call(f"block_{term.fallthrough}", after)),
+        Rule(jump_name, hand_over, layout, taken_guard, [], Call(f"block_{succ[0]}", after)),
+        Rule(jump_name, hand_over, layout, fall_guard, [], Call(f"block_{succ[1]}", after)),
     ]
 
 

@@ -491,6 +491,16 @@ _DROPPED_EDGES = {
         ],
         {"0_c31": FallThrough("9_c31"), "9_c31": Halt()},
     ),
+    "unresolved branch fall dropped": (
+        "6005600d565b600b600d565b005b600035600035575b56",
+        1,
+        [
+            ("13", "jump target unknown"),
+            ("21", "clone cap 1 exceeded"),
+            ("13", "fall target dropped"),
+        ],
+        {"13": Halt()},
+    ),
 }
 
 
@@ -500,6 +510,15 @@ def test_clone_cap_drops_resolved_edges(name):
     cfg = cfg_of(bytes.fromhex(code), clone_cap=cap)
     assert cfg.unresolved == unresolved
     assert {bid: cfg.blocks[bid].terminator for bid in terminators} == terminators
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_clone_cap_below_one_is_refused(cap):
+    blocks = blocks_of("600560040160005500")
+    with pytest.raises(ValueError, match=f"clone cap must be at least 1, not {cap}"):
+        resolve_cfg(blocks, clone_cap=cap)
+    with pytest.raises(ValueError):
+        evmrbr.decompile(bytes.fromhex("600560040160005500"), clone_cap=cap)
 
 
 def test_clone_cap_record_names_the_refused_pc():
@@ -533,7 +552,8 @@ _RESOLVER_PROGRAMS = {
 
 # Digests of the _cfg_digest of each of _pinned_resolves on each of
 # _RESOLVER_PROGRAMS, recorded before the resolver kept its unresolved-jump
-# records in one pass.
+# records in one pass; "unresolved branch fall dropped" was recorded once an
+# unresolved branch whose fall edge the clone cap refused got its record.
 _PINNED_RESOLVES = {
     "add_store": "4bce1e3f7d106018",
     "bitops": "9ca0f4e6495d8edd",
@@ -565,6 +585,7 @@ _PINNED_RESOLVES = {
     "two_block_jump": "8e5a836e776e7ac9",
     "two_caller_clone": "05ad40370a5f9d6a",
     "unknown-target": "3d28e74427a203be",
+    "unresolved branch fall dropped": "33fce3a69a01f69e",
 }
 
 
@@ -599,7 +620,7 @@ def test_pinned_resolves_reach_every_reason():
 
 # Digests of emit_dot plus the `cfg` summary of each of _pinned_resolves on
 # each of _RESOLVER_PROGRAMS, recorded before both renderers read
-# successors().
+# successors(); "unresolved branch fall dropped" was recorded after.
 _PINNED_RENDERS = {
     "add_store": "660bafcf5a4832ab",
     "bitops": "addeb1e41c1bded8",
@@ -631,6 +652,7 @@ _PINNED_RENDERS = {
     "two_block_jump": "ce7cccbfc5ccc2d9",
     "two_caller_clone": "681814dc1c6bd1fa",
     "unknown-target": "18ed262bc8992a11",
+    "unresolved branch fall dropped": "098dd6f6ad27db5f",
 }
 
 
