@@ -93,6 +93,7 @@ def differential_check(
     if rules is None:
         rules = translate_cfg(cfg)
     layout = rules[0].layout
+    names = _Names(layout)
     entry_rule = f"block_{cfg.entry}"
     pc_edges = _pc_edges(cfg)
     index = index_rules(rules)
@@ -116,7 +117,7 @@ def differential_check(
         evm_state, evm_trace = run_evm(
             code, calldata, env, step_limit=step_limit, storage=dict(storage)
         )
-        init = _initial_bindings(layout, calldata, env, storage)
+        init = _initial_bindings(names, calldata, env, storage)
         try:
             rbr_state, rule_trace = run_rbr(
                 index, init, step_limit=step_limit, entry=entry_rule, fresh_seed=fresh_seed
@@ -129,8 +130,21 @@ def differential_check(
 
         report.executed_rules.update(rule_trace)
         rule_pcs = [block_pcs[name] for name in rule_trace if name in block_pcs]
-        _compare(case, layout, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report)
+        _compare(case, names, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report)
     return report
+
+
+class _Names:
+    """The binding names of a check's layout, made once for all its cases."""
+
+    def __init__(self, layout) -> None:
+        self.globals = [f"g{i}" for i in range(layout.k + 1)]
+        self.locals = [f"l{i}" for i in range(layout.r + 1)]
+        # (address, local) of each tracked memory word, by address
+        self.words = [(addr, f"l{idx}") for addr, idx in sorted(layout.lmap.items())]
+        # (md variable, calldata offset) of each constant offset
+        self.md = [(f"md{i}", offset) for i, offset in enumerate(layout.md_offsets)]
+        self.named_bc = layout.named_bc
 
 
 def _make_calldata(layout) -> bytearray:
@@ -156,14 +170,13 @@ def _draw_calldata(data: bytearray, layout, rng: random.Random) -> None:
         data[offset : offset + 32] = rng.randrange(INPUT_BOUND).to_bytes(32, "big")
 
 
-def _initial_bindings(layout, calldata: bytearray, env, storage) -> dict[str, int]:
-    init = {f"g{i}": storage[i] for i in range(layout.k + 1)}
-    for i in range(layout.r + 1):
-        init[f"l{i}"] = 0
-    for i, offset in enumerate(layout.md_offsets):
+def _initial_bindings(names: _Names, calldata: bytearray, env, storage) -> dict[str, int]:
+    init = {name: storage[i] for i, name in enumerate(names.globals)}
+    init.update(dict.fromkeys(names.locals, 0))
+    for name, offset in names.md:
         word = calldata[offset : offset + 32].ljust(32, b"\0")
-        init[f"md{i}"] = int.from_bytes(word, "big")
-    for name in layout.named_bc:
+        init[name] = int.from_bytes(word, "big")
+    for name in names.named_bc:
         init[name] = len(calldata) if name == "calldatasize" else env[name]
     return init
 
@@ -176,25 +189,31 @@ def _pc_edges(cfg: Cfg) -> set[tuple[int, int]]:
     }
 
 
-def _compare(case, layout, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report):
-    for i in range(layout.k + 1):
-        expected = evm_state.storage.get(i, 0)
-        got = rbr_state.bindings.get(f"g{i}")
+def _compare(case, names, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report):
+    bindings = rbr_state.bindings
+    storage = evm_state.storage
+    for i, name in enumerate(names.globals):
+        expected = storage.get(i, 0)
+        got = bindings.get(name)
         if got != expected:
-            report.divergences.append(Divergence(case, f"g{i}", str(expected), str(got)))
-    for addr, idx in sorted(layout.lmap.items()):
-        expected = evm_state.memory.get(addr, 0)
-        got = rbr_state.bindings.get(f"l{idx}")
+            report.divergences.append(Divergence(case, name, str(expected), str(got)))
+    memory = evm_state.memory
+    for addr, name in names.words:
+        expected = memory.get(addr, 0)
+        got = bindings.get(name)
         if got != expected:
-            report.divergences.append(Divergence(case, f"l{idx}", str(expected), str(got)))
+            report.divergences.append(Divergence(case, name, str(expected), str(got)))
 
     if rule_pcs != evm_trace:
         report.divergences.append(
             Divergence(case, "trace", str(evm_trace), str(rule_pcs))
         )
-    for src, dst in zip(evm_trace, evm_trace[1:]):
-        if (src, dst) not in pc_edges:
-            report.divergences.append(
-                Divergence(case, "trace-path", f"{src}->{dst}", "no such edge")
-            )
-            break
+    steps = zip(evm_trace, evm_trace[1:])
+    if not pc_edges.issuperset(steps):
+        # Some step has no edge: report the first one.
+        for src, dst in zip(evm_trace, evm_trace[1:]):
+            if (src, dst) not in pc_edges:
+                report.divergences.append(
+                    Divergence(case, "trace-path", f"{src}->{dst}", "no such edge")
+                )
+                break

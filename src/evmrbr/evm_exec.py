@@ -4,7 +4,10 @@ Executes the deterministic opcode subset with real 256-bit wrap-around
 semantics and records every basic-block entry PC.  The entries are found
 from execution itself, not from :mod:`evmrbr.cfg`: the check compares this
 trace with one derived from the CFG, so a shared leader bug would agree
-with itself.  Memory is word-granular
+with itself.  The code is cut once into straight-line runs of
+pre-resolved steps; the last bytes prepared are kept with their runs, so
+the cases of one check prepare once, and the loop executes a run per
+iteration.  Memory is word-granular
 (a map from the exact address used to a 256-bit value), matching the model
 the rules are checked against.  Hashing, calls, contract creation and logs
 are not interpreted: programs fed to the oracle must avoid them.
@@ -41,82 +44,98 @@ def run_evm(
 ) -> tuple[MachineState, list[int]]:
     """Execute ``code``; returns the final state and the block-entry trace.
 
-    ``code`` is disassembled once per call (a copy of the kept result when
-    ``disassemble`` decoded the same bytes last) and the loop runs on that
-    instruction list by index.  A block entry is recorded where execution
-    can enter one: offset 0, every executed JUMPDEST, and the instruction
-    after a JUMPI that falls through.  Halts on STOP/RETURN/REVERT/INVALID
+    ``code`` is disassembled on every call and its runs are taken from
+    ``_program``.  The loop runs one straight-line run per iteration, and a
+    run that would pass ``step_limit`` runs only the steps within it, so
+    the limit counts instructions.  A block entry is recorded where
+    execution can enter one: offset 0, every executed JUMPDEST, and the
+    instruction after a JUMPI that falls through.  Halts on STOP/RETURN/REVERT/INVALID
     or when execution runs off the end of the code (implicit STOP).  Raises
     StepLimitExceeded after ``step_limit`` instructions, UnsupportedOpcode
     outside the subset, and EvmFault on stack violations or invalid jumps.
     """
-    instrs = disassemble(code)
-    n = len(instrs)
-    # JUMPDEST offset -> instruction index.  Built from instructions, so a
-    # 0x5b byte inside PUSH data is no target.
-    jumpdests = {ins[0]: i for i, ins in enumerate(instrs) if ins[1].code == JUMPDEST}
+    code = bytes(code)
+    runs, jumpdests = _program(code)
     env = dict(env or {})
     storage = dict(storage or {})
     memory: dict[int, int] = {}
     stack: list[int] = []
-    push, pop = stack.append, stack.pop
     # A JUMPDEST at offset 0 records itself when it executes.
-    trace: list[int] = [0] if n and 0 not in jumpdests else []
-    entries = _ENTRIES
-    steps = 0
-    i = 0
+    trace: list[int] = [0] if runs and runs[0][0][0] != "jumpdest" else []
     try:
-        while i < n:
-            pc, op, immediate = instrs[i]
-            kind, arg = entries[op.code]
-            steps += 1
-            if steps > step_limit:
-                raise StepLimitExceeded(f"no halt within {step_limit} steps")
-            i += 1
+        pc = _execute(runs, jumpdests, stack, memory, storage, calldata, env, trace, step_limit)
+    except IndexError:
+        # Every IndexError in the loop comes from the stack: a pop, DUP or
+        # SWAP below its bottom.  Run indices are bounds-checked.
+        raise EvmFault("stack underflow") from None
+    if pc is None:
+        pc = len(code)  # ran off the end: the implicit STOP
+    state = MachineState(stack, memory, storage, calldata, env, halted=True, pc=pc)
+    return state, trace
+
+
+def _program(code: bytes) -> tuple[tuple, dict[int, int]]:
+    """The runs and JUMPDEST map of ``code``: kept from the last call on
+    equal bytes, else prepared from a new decode and kept.  ``code`` is
+    decoded on every call, so a truncated PUSH raises on every call and is
+    never kept."""
+    global _prepared
+    instrs = disassemble(code)
+    saved_code, runs, jumpdests = _prepared
+    if code != saved_code:
+        runs, jumpdests = _prepare(instrs)
+        _prepared = (code, runs, jumpdests)
+    return runs, jumpdests
+
+
+def _execute(runs, jumpdests, stack, memory, storage, calldata, env, trace, step_limit):
+    """Run from run 0 until a halt; returns the halting pc, or None when
+    execution runs off the end of the code."""
+    push, pop = stack.append, stack.pop
+    n = len(runs)
+    steps = 0
+    r = 0
+    while r < n:
+        run = runs[r]
+        steps += len(run)
+        if steps > step_limit:
+            # Only the steps within the limit run; the next one raises below.
+            run = run[: max(len(run) - (steps - step_limit), 0)]
+        for kind, arg, operand in run:
             if kind == "push":
-                push(immediate)
+                push(operand)
                 if len(stack) > 1024:
                     raise EvmFault("stack overflow")
+            elif kind == "op2":
+                push(arg(pop(), pop()))
+            elif kind == "swap":
+                stack[-1], stack[-1 - arg] = stack[-1 - arg], stack[-1]
             elif kind == "dup":
                 push(stack[-arg])
                 if len(stack) > 1024:
                     raise EvmFault("stack overflow")
-            elif kind == "swap":
-                stack[-1], stack[-1 - arg] = stack[-1 - arg], stack[-1]
-            elif kind == "op2":
-                push(arg(pop(), pop()))
             elif kind == "jumpdest":
-                trace.append(pc)
-            elif kind == "jump":
-                dest = pop()
-                i = jumpdests.get(dest)
-                if i is None:
-                    raise EvmFault(f"invalid jump target {dest}")
+                trace.append(operand)
             elif kind == "jumpi":
                 dest, cond = pop(), pop()
                 if cond != 0:
-                    i = jumpdests.get(dest)
-                    if i is None:
+                    r = jumpdests.get(dest)
+                    if r is None:
                         raise EvmFault(f"invalid jump target {dest}")
-                elif i < n and pc + 1 not in jumpdests:
-                    # JUMPI is one byte; a JUMPDEST there records itself.
-                    trace.append(pc + 1)
-            elif kind == "pop":
-                pop()
-            elif kind == "mload":
-                push(memory.get(pop(), 0))
-            elif kind == "mstore":
-                addr = pop()
-                memory[addr] = pop()
-            elif kind == "sload":
-                push(storage.get(pop(), 0) & WORD)
+                    break
+                if operand is not None:
+                    trace.append(operand)
+            elif kind == "jump":
+                dest = pop()
+                r = jumpdests.get(dest)
+                if r is None:
+                    raise EvmFault(f"invalid jump target {dest}")
+                break
+            elif kind == "op1":
+                push(arg(pop()))
             elif kind == "sstore":
                 key = pop()
                 storage[key] = pop()
-            elif kind == "op1":
-                push(arg(pop()))
-            elif kind == "op3":
-                push(arg(pop(), pop(), pop()))
             elif kind == "calldataload":
                 offset = pop()
                 word = calldata[offset : offset + 32] if offset < len(calldata) else b""
@@ -125,39 +144,103 @@ def run_evm(
                 push(env.get(arg, 0) & WORD)
                 if len(stack) > 1024:
                     raise EvmFault("stack overflow")
+            elif kind == "sload":
+                push(storage.get(pop(), 0) & WORD)
+            elif kind == "mload":
+                push(memory.get(pop(), 0))
+            elif kind == "pop":
+                pop()
+            elif kind == "mstore":
+                addr = pop()
+                memory[addr] = pop()
+            elif kind == "op3":
+                push(arg(pop(), pop(), pop()))
             elif kind == "calldatasize":
                 push(len(calldata))
                 if len(stack) > 1024:
                     raise EvmFault("stack overflow")
-            elif kind == "pc":
-                push(pc)
-                if len(stack) > 1024:
-                    raise EvmFault("stack overflow")
             elif kind == "stop":
-                break
+                return operand
             elif kind == "return":
                 pop(), pop()
-                break
+                return operand
             else:
                 raise UnsupportedOpcode(arg)
         else:
-            pc = len(code)  # ran off the end: the implicit STOP
-    except IndexError:
-        # Every IndexError in the loop comes from the stack: a pop, DUP or
-        # SWAP below its bottom.  Instruction indices are bounds-checked.
-        raise EvmFault("stack underflow") from None
-    state = MachineState(stack, memory, storage, calldata, env, halted=True, pc=pc)
-    return state, trace
+            # The run ended without a jump: a JUMPI fell through, or the
+            # next run opens with a JUMPDEST, or the code ends.
+            if steps > step_limit:
+                raise StepLimitExceeded(f"no halt within {step_limit} steps")
+            r += 1
+    return None
 
 
-# Opcode byte -> (kind, argument) of the loop, built once so the loop reads
-# no Opcode property.  It is the table's, except that a word operation is
-# op1/op2/op3 by arity, a halt is a stop or (RETURN, REVERT) a return, and
-# the kinds outside the subset are unsupported, naming the mnemonic.
-_ENTRIES = [
-    (f"op{op.delta}", arg[0]) if kind == "word"
-    else ("return" if op.delta else "stop", None) if kind == "halt"
-    else ("unsupported", op.mnemonic) if kind in ("memcopy", "opaque")
-    else (kind, arg)
+def _prepare(instrs):
+    """Cut ``instrs`` into straight-line runs of pre-resolved steps.
+
+    A JUMPDEST opens a run; a JUMP, a JUMPI or a halting opcode closes one,
+    SELFDESTRUCT (a halt outside the subset) included.  Other opcodes
+    outside the subset stay inside their run and raise where they stand.
+    Each step is ``(kind, argument, operand)``.  The operand is the value a
+    push pushes (a PC is a push of its own offset), the pc of a JUMPDEST or
+    halt, and for a JUMPI the offset its fall-through records: None when
+    the next instruction is a JUMPDEST, which records itself, or when there
+    is none.  Steps without an operand are the shared tuples of ``_STEPS``,
+    and pushes of one value share a step.  Returns the tuple of runs and a
+    map from each JUMPDEST offset to the index of the run it opens; a 0x5b
+    byte inside PUSH data is no instruction, so no target.
+    """
+    runs: list[tuple] = []
+    jumpdests: dict[int, int] = {}
+    run: list[tuple] = []
+    shared, closes = _STEPS, _CLOSES
+    pushes: dict[int, tuple] = {}  # value -> its shared push step
+    last = len(instrs) - 1
+    for i, (pc, op, immediate) in enumerate(instrs):
+        code = op.code
+        step = shared[code]
+        kind = step[0]
+        if kind in ("push", "pc"):
+            # PC pushes its own offset, a constant.
+            value = pc if kind == "pc" else immediate
+            step = pushes.get(value)
+            if step is None:
+                step = pushes[value] = ("push", None, value)
+        elif kind == "jumpdest":
+            if run:
+                runs.append(tuple(run))
+                run = []
+            jumpdests[pc] = len(runs)
+            step = (kind, None, pc)
+        elif kind in ("stop", "return"):
+            step = (kind, None, pc)
+        elif kind == "jumpi":
+            falls_to = pc + 1 if i < last and instrs[i + 1][1].code != JUMPDEST else None
+            step = (kind, None, falls_to)
+        run.append(step)
+        if closes[code]:
+            runs.append(tuple(run))
+            run = []
+    if run:
+        runs.append(tuple(run))
+    return tuple(runs), jumpdests
+
+
+# The last bytes run_evm prepared, their runs and their JUMPDEST map.
+_prepared: tuple[bytes, tuple, dict[int, int]] = (b"", (), {})
+
+
+# Opcode byte -> the loop's (kind, argument, None) step, built once so the
+# loop reads no Opcode property.  The kind and argument are the table's,
+# except that a word operation is op1/op2/op3 by arity, a halt is a stop
+# or (RETURN, REVERT) a return, and the kinds outside the subset are
+# unsupported, naming the mnemonic.
+_STEPS = [
+    (f"op{op.delta}", arg[0], None) if kind == "word"
+    else ("return" if op.delta else "stop", None, None) if kind == "halt"
+    else ("unsupported", op.mnemonic, None) if kind in ("memcopy", "opaque")
+    else (kind, arg, None)
     for op, (kind, arg) in zip(map(for_byte, range(256)), KINDS)
 ]
+# Opcode byte -> whether the step closes its run.
+_CLOSES = [step[0] in ("jump", "jumpi") or for_byte(b).halts for b, step in enumerate(_STEPS)]

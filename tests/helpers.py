@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from evmrbr.rbr import Assign, BinOp, BitOp, Guard, Not, Num, Rule, Var
 
 
@@ -65,3 +67,14 @@ def brute_force_loops(graph: dict[str, set[str]]) -> list[list[str]]:
         if len(members) > 1 or members[0] in graph.get(members[0], set()):
             loops.append(members)
     return loops
+
+
+def block_fuzz_codes():
+    """2,000 seeded random byte strings of up to 40 bytes, half of whose
+    bytes open or close a block (JUMPDEST, JUMP, JUMPI, STOP)."""
+    rng = random.Random("split-blocks")
+    for _ in range(2000):
+        yield bytes(
+            rng.choice(b"\x5b\x56\x57\x00") if rng.random() < 0.5 else rng.randrange(256)
+            for _ in range(rng.randint(0, 40))
+        )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from evmrbr import asm
+from evmrbr import asm, evm_exec
 from evmrbr.asm import Instruction, assemble, disassemble, format_listing, parse_hex
 from evmrbr.errors import InconsistentOffsets, NonHexCharacter, OddDigitCount, TruncatedPush
 from evmrbr.opcodes import BY_NAME, for_byte
@@ -155,9 +155,10 @@ decode = asm._decode
 
 @pytest.fixture()
 def decodes(monkeypatch):
-    """The codes ``disassemble`` decodes, starting from an empty memo."""
+    """The codes ``disassemble`` decodes, starting from empty memos."""
     seen = []
     monkeypatch.setattr(asm, "_last", (b"", ()))
+    monkeypatch.setattr(evm_exec, "_prepared", (b"", (), {}))
     monkeypatch.setattr(asm, "_decode", lambda code: seen.append(code) or decode(code))
     return seen
 

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from corpus import CORPUS, TWO_CALLER_CLONE
+from helpers import block_fuzz_codes
 from progen import Asm, gen_program
 
 import evmrbr.cfg
@@ -45,14 +46,8 @@ def test_block_leaders_start_the_split_blocks():
     for code in CORPUS.values():
         instrs = disassemble(code)
         assert block_leaders(instrs) == {b.start_pc for b in split_blocks(instrs)}
-    # Random byte strings, half of whose bytes open or close a block.
-    rng = random.Random("split-blocks")
     split = 0
-    for _ in range(2000):
-        code = bytes(
-            rng.choice(b"\x5b\x56\x57\x00") if rng.random() < 0.5 else rng.randrange(256)
-            for _ in range(rng.randint(0, 40))
-        )
+    for code in block_fuzz_codes():
         try:
             instrs = disassemble(code)
         except TruncatedPush:

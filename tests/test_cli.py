@@ -321,7 +321,8 @@ def test_check_call_counts(run, monkeypatch):
 def test_check_decodes_the_code_once(run, monkeypatch):
     decodes = []
     decode = evmrbr.asm._decode
-    monkeypatch.setattr(evmrbr.asm, "_last", (b"", ()))  # an empty memo
+    monkeypatch.setattr(evmrbr.asm, "_last", (b"", ()))  # empty memos
+    monkeypatch.setattr(evmrbr.evm_exec, "_prepared", (b"", (), {}))
     monkeypatch.setattr(evmrbr.asm, "_decode", lambda code: decodes.append(code) or decode(code))
     code, out, _ = run("check", "-", "--runs", "4", stdin=CORPUS["counter_loop"].hex())
     assert (code, out) == (0, "divergences: 0/4\n")

@@ -6,11 +6,22 @@ import random
 import pytest
 
 from corpus import ADD_STORE, CORPUS, COUNTER_LOOP, TWO_CALLER_CLONE
+from helpers import block_fuzz_codes
 from progen import gen_program
 
+from evmrbr import asm, evm_exec
+from evmrbr.asm import disassemble
+from evmrbr.cfg import block_leaders
 from evmrbr.diff import _ENV_NAMES, INPUT_BOUND
-from evmrbr.errors import EvmFault, EvmRbrError, StepLimitExceeded, UnsupportedOpcode
+from evmrbr.errors import (
+    EvmFault,
+    EvmRbrError,
+    StepLimitExceeded,
+    TruncatedPush,
+    UnsupportedOpcode,
+)
 from evmrbr.evm_exec import run_evm
+from evmrbr.opcodes import JUMPDEST
 
 
 def test_add_store_program():
@@ -291,3 +302,184 @@ def test_pinned_runs_reach_every_outcome():
     }
     assert outcomes == {"halt", "invalid jump target", "stack underflow", "stack overflow",
                         "StepLimitExceeded", "UnsupportedOpcode", "TruncatedPush"}
+
+
+# --- the step limit counts instructions, though the loop executes runs ---
+
+
+def _limited(code: bytes, limit: int, inputs: dict) -> str:
+    """The outcome of one run under ``limit``: the final state and trace,
+    or the error."""
+    try:
+        state, trace = run_evm(code, step_limit=limit, **inputs)
+    except EvmRbrError as err:
+        return f"{type(err).__name__}: {err}"
+    return repr((trace, state))
+
+
+# Each fault, with the step that raises it.
+_FAULTS = {
+    "underflow": ("600101", 2, "EvmFault: stack underflow"),
+    "invalid jump target": ("600456600000", 2, "EvmFault: invalid jump target 4"),
+    "unsupported": ("6000600020", 3, "UnsupportedOpcode: opcode SHA3 is outside the interpreted subset"),
+    "overflow": ("6000" * 1025 + "00", 1025, "EvmFault: stack overflow"),
+}
+
+
+def _sweep_programs():
+    programs = {name: (code, None) for name, code in CORPUS.items()}
+    for seed in (3, 11, 29, 47, 83):
+        programs[f"progen_{seed}"] = (gen_program(random.Random(seed), 12), None)
+    for name, (hexstr, steps, _) in _FAULTS.items():
+        programs[name] = (bytes.fromhex(hexstr), steps)
+    return programs
+
+
+@pytest.mark.parametrize("name", sorted(_sweep_programs()))
+def test_step_limit_sweep_changes_the_outcome_at_one_instruction(name):
+    code, pinned_steps = _sweep_programs()[name]
+    rng = random.Random(name)
+    inputs = {
+        "calldata": rng.randbytes(68),
+        "env": {name: rng.randrange(INPUT_BOUND) for name in _ENV_NAMES},
+        "storage": {i: rng.randrange(INPUT_BOUND) for i in range(6)},
+    }
+    unlimited = _limited(code, 10**6, inputs)
+    assert not unlimited.startswith("StepLimitExceeded")
+    outcomes = []
+    limit = 0
+    while not outcomes or outcomes[-1].startswith("StepLimitExceeded"):
+        outcomes.append(_limited(code, limit, inputs))
+        limit += 1
+    steps = limit - 1  # the first limit that lets the run end
+    outcomes.append(_limited(code, steps + 1, inputs))
+    assert outcomes == [
+        f"StepLimitExceeded: no halt within {limit} steps" for limit in range(steps)
+    ] + [unlimited] * 2
+    if pinned_steps is not None:
+        assert steps == pinned_steps
+        assert unlimited == _FAULTS[name][2]
+
+
+@pytest.mark.parametrize("limit", [-1, -5])
+def test_a_negative_step_limit_runs_no_instruction(limit):
+    # ADD on an empty stack, then STOP: the ADD would fault if it ran
+    with pytest.raises(StepLimitExceeded, match=f"^no halt within {limit} steps$"):
+        run_evm(bytes.fromhex("0100"), step_limit=limit)
+
+
+# --- the prepared runs ---
+
+
+def _prepared_runs(code: bytes):
+    """The runs and JUMPDEST map ``run_evm`` executes ``code`` on."""
+    return evm_exec._prepare(disassemble(code))
+
+
+def _expected_step(instrs, i):
+    """The step of instruction ``i``, written out from the opcode table."""
+    pc, op, immediate = instrs[i]
+    kind, arg, _ = evm_exec._STEPS[op.code]
+    if kind == "pc":
+        return ("push", None, pc)
+    if kind in ("push", "jumpdest", "stop", "return"):
+        return (kind, arg, pc if immediate is None else immediate)
+    if kind == "jumpi":
+        falls_to = i + 1 < len(instrs) and instrs[i + 1][1].code != JUMPDEST
+        return (kind, arg, pc + 1 if falls_to else None)
+    return (kind, arg, None)
+
+
+def test_runs_start_at_the_block_leaders_and_cover_the_listing():
+    cut = 0
+    for code in block_fuzz_codes():
+        try:
+            instrs = disassemble(code)
+        except TruncatedPush:
+            continue
+        runs, jumpdests = _prepared_runs(code)
+        assert all(runs), code.hex()
+        firsts = [sum(map(len, runs[:r])) for r in range(len(runs))]
+        starts = [instrs[first].offset for first in firsts]
+        # Two leader rules, the oracle's and the CFG's, must agree.
+        assert starts == sorted(block_leaders(instrs)), code.hex()
+        steps = [step for run in runs for step in run]
+        assert steps == [_expected_step(instrs, i) for i in range(len(instrs))], code.hex()
+        assert jumpdests == {
+            offset: starts.index(offset) for offset, op, _ in instrs if op.code == JUMPDEST
+        }, code.hex()
+        cut += 1
+    assert cut > 1000
+
+
+def test_steps_without_an_operand_are_shared():
+    # 50 times (PUSH1 1, PUSH1 1, ADD), then PC at offset 250, PUSH1 1, STOP
+    code = bytes.fromhex("6001600101" * 50 + "58" + "6001" + "00")
+    runs, _ = _prepared_runs(code)
+    steps = [step for run in runs for step in run]
+    assert len(steps) == 153
+    # Every push of 1 is one tuple and every ADD another; the PC's push of
+    # 250 and the STOP at 253 are one tuple each.
+    assert len({id(step) for step in steps}) == 4
+    assert steps[-3:] == [("push", None, 250), ("push", None, 1), ("stop", None, 253)]
+
+
+# --- the one-entry memo of prepared programs ---
+
+
+@pytest.fixture()
+def prepares(monkeypatch):
+    """The codes ``run_evm`` prepares, starting from empty memos."""
+    seen = []
+    prepare = evm_exec._prepare
+    monkeypatch.setattr(asm, "_last", (b"", ()))
+    monkeypatch.setattr(evm_exec, "_prepared", (b"", (), {}))
+    monkeypatch.setattr(
+        evm_exec, "_prepare", lambda instrs: seen.append(asm.assemble(instrs)) or prepare(instrs)
+    )
+    return seen
+
+
+def _fresh_run(code, **kwargs):
+    """``run_evm`` on an empty memo, leaving the memo as it found it."""
+    saved = evm_exec._prepared
+    evm_exec._prepared = (b"", (), {})
+    try:
+        return run_evm(code, **kwargs)
+    finally:
+        evm_exec._prepared = saved
+
+
+def test_memo_runs_as_a_cleared_memo_does(prepares):
+    a, b = COUNTER_LOOP, TWO_CALLER_CLONE
+    codes = (a, a, b, a, b, b"", a)
+    fresh = [_fresh_run(code, storage={0: 4}) for code in codes]
+    prepares.clear()
+    assert [run_evm(code, storage={0: 4}) for code in codes] == fresh
+    assert prepares == [a, b, a, b, b"", a]  # only when the code changed
+    assert fresh[0] != fresh[2]
+
+
+def test_memo_holds_a_copy_of_the_code(prepares):
+    code = bytes.fromhex("600560040160005500")
+    changed = bytes.fromhex("600760040160005500")  # PUSH1 7 for PUSH1 5
+    fresh = _fresh_run(changed)
+    prepares.clear()
+    buffer = bytearray(code)
+    assert run_evm(buffer)[0].storage == {0: 9}
+    buffer[1] = 0x07  # the memo holds a copy, not the caller's buffer
+    assert run_evm(buffer) == fresh
+    assert fresh[0].storage == {0: 11}
+    assert prepares == [code, changed]
+
+
+def test_memo_keeps_no_truncated_push(prepares):
+    good, bad = ADD_STORE, bytes.fromhex("00611234600055" + "62ffff")
+    first = run_evm(good)
+    for _ in range(3):
+        with pytest.raises(TruncatedPush) as err:
+            run_evm(bad)
+        assert err.value.offset == 7
+    assert evm_exec._prepared[0] == good
+    assert run_evm(good) == first
+    assert prepares == [good]

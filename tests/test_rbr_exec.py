@@ -15,6 +15,7 @@ from evmrbr.cfg import resolve_cfg, split_blocks
 from evmrbr.diff import (
     _ENV_NAMES,
     INPUT_BOUND,
+    _Names,
     _draw_calldata,
     _initial_bindings,
     _make_calldata,
@@ -299,7 +300,7 @@ def _check_runs(code: bytes, n_cases: int, seed: int) -> str:
         env = {name: rng.randrange(INPUT_BOUND) for name in _ENV_NAMES}
         storage = {i: rng.randrange(INPUT_BOUND) for i in range(layout.k + 1)}
         fresh_seed = rng.randrange(1 << 30)
-        init = _initial_bindings(layout, calldata, env, storage)
+        init = _initial_bindings(_Names(layout), calldata, env, storage)
         runs.append(_run_text(index, init, entry=f"block_{cfg.entry}", fresh_seed=fresh_seed))
     return "\n".join(runs)
 

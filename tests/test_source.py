@@ -74,6 +74,21 @@ def test_only_the_cli_imports_gc(path):
     assert ("gc" in _imported_modules(path)) is (path.name == "cli.py")
 
 
+# The concrete oracle finds block entries from execution alone: a leader
+# or translation bug it shared with the pipeline would agree with itself.
+def test_the_oracle_imports_nothing_from_the_pipeline():
+    path = ROOT / "src" / "evmrbr" / "evm_exec.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            imported.update([module] if module else (alias.name for alias in node.names))
+    assert {"asm", "errors", "opcodes"} <= imported
+    assert not imported & {"cfg", "translate", "rbr"}
+
+
 # Regular-expression syntax that Python 3.11 added: atomic groups (?>...)
 # and possessive repeats such as a*+.  Python 3.10 fails to compile either.
 _PY311_REGEX = {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
