@@ -208,12 +208,9 @@ def _compare(case, names, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, r
         report.divergences.append(
             Divergence(case, "trace", str(evm_trace), str(rule_pcs))
         )
-    steps = zip(evm_trace, evm_trace[1:])
-    if not pc_edges.issuperset(steps):
+    if not pc_edges.issuperset(zip(evm_trace, evm_trace[1:])):
         # Some step has no edge: report the first one.
-        for src, dst in zip(evm_trace, evm_trace[1:]):
-            if (src, dst) not in pc_edges:
-                report.divergences.append(
-                    Divergence(case, "trace-path", f"{src}->{dst}", "no such edge")
-                )
-                break
+        src, dst = next(
+            step for step in zip(evm_trace, evm_trace[1:]) if step not in pc_edges
+        )
+        report.divergences.append(Divergence(case, "trace-path", f"{src}->{dst}", "no such edge"))

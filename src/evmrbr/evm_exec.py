@@ -49,8 +49,9 @@ def run_evm(
     run that would pass ``step_limit`` runs only the steps within it, so
     the limit counts instructions.  A block entry is recorded where
     execution can enter one: offset 0, every executed JUMPDEST, and the
-    instruction after a JUMPI that falls through.  Halts on STOP/RETURN/REVERT/INVALID
-    or when execution runs off the end of the code (implicit STOP).  Raises
+    instruction after a JUMPI that falls through.  Halts on
+    STOP/RETURN/REVERT/INVALID or when execution runs off the end of the
+    code (implicit STOP).  Raises
     StepLimitExceeded after ``step_limit`` instructions, UnsupportedOpcode
     outside the subset, and EvmFault on stack violations or invalid jumps.
     """

@@ -321,7 +321,9 @@ def _limited(code: bytes, limit: int, inputs: dict) -> str:
 _FAULTS = {
     "underflow": ("600101", 2, "EvmFault: stack underflow"),
     "invalid jump target": ("600456600000", 2, "EvmFault: invalid jump target 4"),
-    "unsupported": ("6000600020", 3, "UnsupportedOpcode: opcode SHA3 is outside the interpreted subset"),
+    "unsupported": (
+        "6000600020", 3, "UnsupportedOpcode: opcode SHA3 is outside the interpreted subset"
+    ),
     "overflow": ("6000" * 1025 + "00", 1025, "EvmFault: stack overflow"),
 }
 
