@@ -168,8 +168,9 @@ def _execute(runs, jumpdests, stack, memory, storage, calldata, env, trace, step
             else:
                 raise UnsupportedOpcode(arg)
         else:
-            # The run ended without a jump: a JUMPI fell through, or the
-            # next run opens with a JUMPDEST, or the code ends.
+            # No jump or halt ended the run: the step limit cut it, or a
+            # JUMPI fell through, or the next run opens with a JUMPDEST, or
+            # the code ends.
             if steps > step_limit:
                 raise StepLimitExceeded(f"no halt within {step_limit} steps")
             r += 1

@@ -343,7 +343,7 @@ def test_step_limit_sweep_changes_the_outcome_at_one_instruction(name):
     rng = random.Random(name)
     inputs = {
         "calldata": rng.randbytes(68),
-        "env": {name: rng.randrange(INPUT_BOUND) for name in _ENV_NAMES},
+        "env": {key: rng.randrange(INPUT_BOUND) for key in _ENV_NAMES},
         "storage": {i: rng.randrange(INPUT_BOUND) for i in range(6)},
     }
     unlimited = _limited(code, 10**6, inputs)
@@ -356,7 +356,7 @@ def test_step_limit_sweep_changes_the_outcome_at_one_instruction(name):
     steps = limit - 1  # the first limit that lets the run end
     outcomes.append(_limited(code, steps + 1, inputs))
     assert outcomes == [
-        f"StepLimitExceeded: no halt within {limit} steps" for limit in range(steps)
+        f"StepLimitExceeded: no halt within {below} steps" for below in range(steps)
     ] + [unlimited] * 2
     if pinned_steps is not None:
         assert steps == pinned_steps
