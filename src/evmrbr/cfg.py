@@ -67,9 +67,14 @@ class Block:
     """A maximal straight-line instruction sequence.
 
     ``entry_height`` is the stack height on entry, known only after
-    resolution (None for dead blocks).  ``const_operands`` holds, aligned
-    with ``instrs``, a tuple with the constant value of each popped operand
-    (or None per operand) as seen by the resolver.
+    resolution (None for a block that no context reached).  ``const_operands``
+    holds, aligned with ``instrs``, a tuple with the constant value of each
+    popped operand (or None per operand) as seen by the resolver, and is
+    None for a dead block.
+
+    A block is dead when no chain of resolved edges reaches it from the
+    entry, or when its entry stack underflows.  A variant that a join left
+    unreachable keeps its id, entry height and terminator, and is dead.
     """
 
     id: str
@@ -256,6 +261,9 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
 
     A jump that cannot be resolved raises nothing: it is listed in
     ``Cfg.unresolved`` with its reason, and the offending edge is dropped.
+    A variant that no chain of resolved edges reaches from the entry (one
+    built from a context that a later join replaced) is dead; it keeps its
+    id and its records.
     The reasons are:
 
     - ``jump target unknown``: the target is not a constant;
@@ -370,7 +378,16 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
     while work:
         process(*work.popleft())
 
-    return _build_cfg(by_pc, variants, unresolved, entry_edge[0])
+    # The variants a chain of resolved edges reaches from the entry.
+    reached = set(entry_edge)
+    stack = list(entry_edge)
+    while stack:
+        pc, index = stack.pop()
+        for key in variants[pc][index].succ:
+            if key is not None and key not in reached:
+                reached.add(key)
+                stack.append(key)
+    return _build_cfg(by_pc, variants, unresolved, entry_edge[0], reached)
 
 
 def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
@@ -384,9 +401,10 @@ def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
     return None
 
 
-def _build_cfg(by_pc, variants, unresolved, entry) -> Cfg:
-    """Name the variants, read their successors, and add a "dropped" record
-    for each resolved edge whose successor the clone cap refused."""
+def _build_cfg(by_pc, variants, unresolved, entry, reached) -> Cfg:
+    """Name the variants, read their successors, mark dead those not in
+    ``reached``, and add a "dropped" record for each resolved edge whose
+    successor the clone cap refused."""
     ids = {
         (pc, var.index): str(pc) if len(vars_) == 1 else f"{pc}_c{var.index}"
         for pc, vars_ in variants.items()
@@ -411,15 +429,16 @@ def _build_cfg(by_pc, variants, unresolved, entry) -> Cfg:
             else:
                 unresolved[(key, _DROPPED[kind])] = None
             bid = ids[key]
+            dead = var.consts is None or key not in reached
             blocks_out[bid] = Block(
                 id=bid,
                 start_pc=pc,
                 instrs=list(src.instrs),
                 terminator=term,
                 entry_height=len(var.entry),
-                dead=var.consts is None,
+                dead=dead,
                 # A copy: the simulation memo can hand one list to two variants.
-                const_operands=None if var.consts is None else list(var.consts),
+                const_operands=None if dead else list(var.consts),
             )
         if pc not in variants:
             blocks_out[src.id] = replace(src, instrs=list(src.instrs), terminator=Halt(), dead=True)

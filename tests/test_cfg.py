@@ -24,6 +24,7 @@ from evmrbr.cfg import (
     id_sort_key,
     resolve_cfg,
     split_blocks,
+    successors,
 )
 from evmrbr.cli import _cfg_summary
 from evmrbr.errors import TruncatedPush
@@ -611,6 +612,51 @@ def test_pinned_resolves_reach_every_reason():
         "branch targets dropped",
         "fall target dropped",
     }
+
+
+def _reached_from_entry(cfg) -> set[str]:
+    reached = {cfg.entry} if cfg.entry is not None else set()
+    stack = list(reached)
+    while stack:
+        for target in successors(cfg.blocks[stack.pop()].terminator):
+            if target not in reached:
+                reached.add(target)
+                stack.append(target)
+    return reached
+
+
+@pytest.mark.parametrize("cap", [1, 4, 32])
+def test_every_live_block_is_reachable_from_the_entry(cap):
+    codes = [*_RESOLVER_PROGRAMS.values(), *block_fuzz_codes()]
+    resolved = 0
+    for code in codes:
+        try:
+            cfg = cfg_of(code, clone_cap=cap)
+        except TruncatedPush:
+            continue
+        reached = _reached_from_entry(cfg)
+        live = {bid for bid, block in cfg.blocks.items() if not block.dead}
+        assert live <= reached, (code.hex(), sorted(live - reached))
+        # A reached block is dead only when its entry stack underflows.
+        for bid in reached - live:
+            assert cfg.blocks[bid].terminator == Halt(), (code.hex(), bid)
+        resolved += 1
+    assert resolved > 1000
+
+
+def test_a_variant_a_join_left_unreachable_is_dead():
+    # Block 13 first falls to 21_c0 with the target 5 on the stack.  Block 5
+    # enters 13 again, the join leaves the target unknown, and 13 then falls
+    # to 21_c1: 21_c0 and block 5 are left unreachable and dead, and only
+    # the reached blocks become rules.
+    code = bytes.fromhex("6005600d565b600b600d565b005b600035600035575b56")
+    cfg = cfg_of(code)
+    assert {bid for bid, block in cfg.blocks.items() if block.dead} == {"5", "11", "21_c0"}
+    assert cfg.blocks["21_c0"].terminator == Jump("5")
+    assert cfg.unresolved == [("13", "jump target unknown"), ("21_c1", "jump target unknown")]
+    assert [rule.name for rule in evmrbr.decompile(code)] == [
+        "block_0", "block_13", "block_21_c1"
+    ]
 
 
 # Digests of emit_dot plus the `cfg` summary of each of _pinned_resolves on
