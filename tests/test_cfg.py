@@ -368,7 +368,8 @@ _PINNED_PROGRAMS = {
 # (digest of the disassembly, digest of the resolved CFG), recorded before
 # Instruction became a tuple and _simulate ran on a per-opcode table;
 # target-lost-when-joining was recorded later, before the resolver kept its
-# unresolved-jump records in one pass.
+# unresolved-jump records in one pass, and again once the resolver marked
+# the variants it leaves unreachable dead.
 _PINNED_DIGESTS = {
     "add_store": ("ef6eff76e35e0109", "6a276df819af9495"),
     "bitops": ("f6416f283b02a3bc", "39730616963c13ae"),
@@ -392,7 +393,7 @@ _PINNED_DIGESTS = {
     "six_loops": ("ccf2fa5323e89024", "06a9816d7cba54bf"),
     "stack-underflow": ("e013494c762310d9", "1ca70fc160af9c9f"),
     "subroutine-clones": ("5c07ccdc0eff14a7", "ebe62361eb61f9f5"),
-    "target-lost-when-joining": ("d10b354c86ee4bec", "faac653e542978b1"),
+    "target-lost-when-joining": ("d10b354c86ee4bec", "2b5aebc61b8b251c"),
     "two_block_jump": ("4315c059e020dbee", "08be8eda3565dd16"),
     "two_caller_clone": ("05ed566f521d2ef2", "dd41663486ee78cc"),
     "unknown-target": ("89074be14c15b463", "c9836ae7f3dafeb7"),
@@ -550,6 +551,8 @@ _RESOLVER_PROGRAMS = {
 # _RESOLVER_PROGRAMS, recorded before the resolver kept its unresolved-jump
 # records in one pass; "unresolved branch fall dropped" was recorded once an
 # unresolved branch whose fall edge the clone cap refused got its record.
+# That entry and target-lost-when-joining were recorded again once the
+# resolver marked the variants it leaves unreachable dead.
 _PINNED_RESOLVES = {
     "add_store": "4bce1e3f7d106018",
     "bitops": "9ca0f4e6495d8edd",
@@ -577,11 +580,11 @@ _PINNED_RESOLVES = {
     "six_loops": "42cab38ff0938e16",
     "stack-underflow": "64c9166ae68513fd",
     "subroutine-clones": "430fb2aa9531c761",
-    "target-lost-when-joining": "b4de07b882b2509e",
+    "target-lost-when-joining": "28d452606b78e988",
     "two_block_jump": "8e5a836e776e7ac9",
     "two_caller_clone": "05ad40370a5f9d6a",
     "unknown-target": "3d28e74427a203be",
-    "unresolved branch fall dropped": "33fce3a69a01f69e",
+    "unresolved branch fall dropped": "9d0bb04942860dc6",
 }
 
 
@@ -661,7 +664,9 @@ def test_a_variant_a_join_left_unreachable_is_dead():
 
 # Digests of emit_dot plus the `cfg` summary of each of _pinned_resolves on
 # each of _RESOLVER_PROGRAMS, recorded before both renderers read
-# successors(); "unresolved branch fall dropped" was recorded after.
+# successors(); "unresolved branch fall dropped" was recorded after.  That
+# entry and target-lost-when-joining were recorded again once the resolver
+# marked the variants it leaves unreachable dead.
 _PINNED_RENDERS = {
     "add_store": "660bafcf5a4832ab",
     "bitops": "addeb1e41c1bded8",
@@ -689,11 +694,11 @@ _PINNED_RENDERS = {
     "six_loops": "d748246447cb0d53",
     "stack-underflow": "ef7613beafd5fdaa",
     "subroutine-clones": "26ae3ce8ef635786",
-    "target-lost-when-joining": "4822b43ea241e4ec",
+    "target-lost-when-joining": "1838985c95f7a035",
     "two_block_jump": "ce7cccbfc5ccc2d9",
     "two_caller_clone": "681814dc1c6bd1fa",
     "unknown-target": "18ed262bc8992a11",
-    "unresolved branch fall dropped": "098dd6f6ad27db5f",
+    "unresolved branch fall dropped": "9058964aa181d606",
 }
 
 

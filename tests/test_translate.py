@@ -543,7 +543,8 @@ _TRANSLATED_PROGRAMS = {
 # pushed or a stack-carried target, a conditional jump with a comparison
 # window, an ISZERO-only window, no window or a stack-carried target) at
 # clone caps 1, 4 and 32.  Recorded before translate_block split every
-# block's tail in one place.
+# block's tail in one place; target-lost-when-joining was recorded again once
+# the resolver marked the variants it leaves unreachable dead.
 _PINNED_TRANSLATIONS = {
     "add_store": "97d1d3b3d5316279",
     "bitops": "1146d6cb1b53085d",
@@ -572,7 +573,7 @@ _PINNED_TRANSLATIONS = {
     "stack-carried-target": "2a2f852520bde1d0",
     "stack-underflow": "ede109bc083e8285",
     "subroutine-clones": "1f8509355f41826a",
-    "target-lost-when-joining": "63aa3124f1994eef",
+    "target-lost-when-joining": "a9d4f647d7a6c1dd",
     "two_block_jump": "47059751d1cf14b8",
     "two_caller_clone": "bf060dcf8b59e09d",
     "unknown-target": "b3a0d12d9bf3c058",
@@ -602,7 +603,9 @@ def _plain_emission_digest(cfgs) -> str:
 
 # Digests of _plain_emission_digest over _pinned_resolves of each of
 # _TRANSLATED_PROGRAMS.  Recorded before translate_cfg and emit_rbr shared
-# equal statements and parameter lists within one call.
+# equal statements and parameter lists within one call; target-lost-when-joining
+# was recorded again once the resolver marked the variants it leaves
+# unreachable dead.
 _PINNED_PLAIN_EMISSIONS = {
     "add_store": "d5df4938f237147d",
     "bitops": "75fe7614fdf7aa99",
@@ -631,7 +634,7 @@ _PINNED_PLAIN_EMISSIONS = {
     "stack-carried-target": "1e4b226e3c091d8b",
     "stack-underflow": "d742a0b84c5e36e3",
     "subroutine-clones": "d003838e64719fc5",
-    "target-lost-when-joining": "1206d345d548e4eb",
+    "target-lost-when-joining": "e3a42849c373fe4c",
     "two_block_jump": "20234055f6287dea",
     "two_caller_clone": "08aa72e7194c3ae4",
     "unknown-target": "610cce2ccd9189bb",
