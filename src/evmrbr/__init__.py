@@ -24,7 +24,6 @@ from .errors import EvmRbrError
 from .evm_exec import MachineState, run_evm
 from .loops import detect_loops
 from .opcodes import Opcode
-from .parse import parse_rbr
 from .rbr import Assign, BinOp, BitOp, Call, Guard, Nop, Not, Num, Rule, Var, VarLayout
 from .rbr_exec import RbrState, run_rbr
 from .translate import build_layout, tau, tau_G, translate_block, translate_cfg
@@ -35,3 +34,13 @@ __version__ = "0.1.0"
 def decompile(code: bytes, *, nops: bool = False, clone_cap: int = 32) -> list[Rule]:
     """Convenience: bytecode bytes to rules in one call."""
     return translate_cfg(resolve_cfg(split_blocks(disassemble(code)), clone_cap), nops=nops)
+
+
+def __getattr__(name: str):
+    # The rule parser is imported on first use: no CLI command reads .rbr text.
+    if name == "parse_rbr":
+        from .parse import parse_rbr
+
+        globals()[name] = parse_rbr
+        return parse_rbr
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ from .emit import emit_rbr, export_saco
 from .errors import EvmRbrError, HexError
 from .loops import detect_loops
 from .opcodes import PUSH0
-from .translate import translate_cfg
+from .translate import call_graph, translate_cfg
 
 
 def _count(least: int):
@@ -186,7 +186,8 @@ def _run(args: argparse.Namespace) -> int:
             _write_output(export_saco(rules), args.output)
             return 0
         if args.command == "loops":
-            sys.stdout.write(_loop_report(detect_loops(translate_cfg(cfg))))
+            # The call graph is read off the CFG: no rule body is built.
+            sys.stdout.write(_loop_report(detect_loops(call_graph(cfg))))
             return 0
         # check: the CFG served the warnings and need not live through the
         # cases; differential_check resolves the same blocks for its rules.

@@ -410,6 +410,24 @@ def _translate_block(
     ]
 
 
+def call_graph(cfg: Cfg) -> dict[str, set[str]]:
+    """The rule call graph of ``translate_cfg(cfg)``, read off the resolved
+    CFG with no statement built: each rule name to the rule names its
+    continuations call, as ``loops.rule_call_graph`` gives it.  A live block
+    with one successor or none calls ``block_<successor>`` or nothing; one
+    with two calls ``jump_<id>``, which calls both successors."""
+    graph: dict[str, set[str]] = {}
+    for block in cfg.live_blocks():
+        succ = [f"block_{bid}" for bid in successors(block.terminator)]
+        if len(succ) < 2:
+            graph[f"block_{block.id}"] = set(succ)
+        else:
+            jump_name = f"jump_{block.id}"
+            graph[f"block_{block.id}"] = {jump_name}
+            graph[jump_name] = set(succ)
+    return graph
+
+
 def translate_cfg(cfg: Cfg, *, nops: bool = False) -> list[Rule]:
     """Translate every live block, sharing one variable layout and one
     statement memo (see ``_SHAREABLE`` and ``_SHARED_BY_OPERAND``)."""

@@ -16,8 +16,9 @@ import evmrbr.cli
 import evmrbr.diff
 import evmrbr.evm_exec
 from evmrbr import decompile
-from evmrbr.cli import main
+from evmrbr.cli import _loop_report, main
 from evmrbr.emit import emit_rbr
+from evmrbr.loops import detect_loops
 from evmrbr.parse import parse_rbr
 
 
@@ -287,6 +288,11 @@ _WIDE_KEY_MUTANT = (
 def test_wide_storage_key_is_not_a_field(run, caplog, hexstr, command):
     code, out, err = run(command, "-", stdin=hexstr)
     assert code == 0, err
+    if command == "loops":
+        # loops reads the call graph off the CFG and translates nothing.
+        assert caplog.records == []
+        assert out == _loop_report(detect_loops(decompile(bytes.fromhex(hexstr))))
+        return
     assert [rec.message for rec in caplog.records] == [
         "1 constant storage key(s) at or above 256 translated as non-constant"
     ]
@@ -364,14 +370,14 @@ def test_main_leaves_the_collector_as_it_found_it(
 
 
 def test_commands_run_with_the_collector_paused(run, monkeypatch, collector):
-    translate_cfg = evmrbr.cli.translate_cfg
+    resolve_cfg = evmrbr.cli.resolve_cfg
     seen = []
 
-    def watched(cfg, **kwargs):
+    def watched(blocks, **kwargs):
         seen.append(gc.isenabled())
-        return translate_cfg(cfg, **kwargs)
+        return resolve_cfg(blocks, **kwargs)
 
-    monkeypatch.setattr(evmrbr.cli, "translate_cfg", watched)
+    monkeypatch.setattr(evmrbr.cli, "resolve_cfg", watched)
     for command in ("rbr", "saco", "loops"):
         assert run(command, "-", stdin=ADD_STORE.hex())[0] == 0
     assert seen == [False] * 3
@@ -445,6 +451,17 @@ def test_import_builds_no_parser():
     assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
 
 
+def test_import_loads_no_rule_parser():
+    # No command reads .rbr text; the package loads the parser on first use.
+    script = (
+        "import sys, evmrbr.cli; print('evmrbr.parse' in sys.modules); "
+        "import evmrbr; from evmrbr import parse_rbr; "
+        "print('evmrbr.parse' in sys.modules, evmrbr.parse_rbr is parse_rbr)"
+    )
+    result = python_process("-c", script, stdin="")
+    assert (result.returncode, result.stdout) == (0, "False\nTrue True\n"), result.stderr
+
+
 def test_rbr_warns_about_unresolved_jumps(run):
     # data-dependent jump: output still produced, warning on stderr
     code, out, err = run("rbr", "-", stdin="6000355660005b00")
@@ -471,7 +488,7 @@ def test_diagnostics_go_to_stderr():
 _REPEATED_CALLS = """
 import io, logging, sys
 from contextlib import redirect_stderr, redirect_stdout
-from evmrbr.cli import main
+from evmrbr.cli import _loop_report, main
 
 def call():
     err = io.StringIO()

@@ -2,14 +2,18 @@
 
 import random
 
+import pytest
 from corpus import CORPUS, COUNTER_LOOP
 from helpers import brute_force_loops
-from progen import make_loops
+from progen import gen_program, make_loops
+from test_cfg import _RESOLVER_PROGRAMS
+from test_cli_outcomes import inputs as cli_outcome_inputs
 
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
+from evmrbr.errors import TruncatedPush
 from evmrbr.loops import detect_loops, rule_call_graph
-from evmrbr.translate import translate_cfg
+from evmrbr.translate import call_graph, translate_cfg
 
 
 def rules_of(code: bytes):
@@ -72,3 +76,35 @@ def test_self_loop_detected():
 
     comps = _tarjan(graph)
     assert comps == [["block_0"]]
+
+
+def _call_graph_programs():
+    yield from CORPUS.values()
+    yield from (gen_program(random.Random(seed)) for seed in range(100))
+    yield from cli_outcome_inputs().values()
+
+
+@pytest.mark.parametrize("cap", [1, 4, 32])
+def test_call_graph_reads_the_translated_call_graph_off_the_cfg(cap):
+    programs = [*_RESOLVER_PROGRAMS.values()]
+    if cap == 32:
+        programs += _call_graph_programs()
+    compared = 0
+    for code in programs:
+        try:
+            cfg = resolve_cfg(split_blocks(disassemble(code)), cap)
+        except TruncatedPush:
+            continue
+        graph = call_graph(cfg)
+        assert graph == rule_call_graph(translate_cfg(cfg)), code.hex()
+        assert detect_loops(graph) == detect_loops(translate_cfg(cfg)), code.hex()
+        compared += 1
+    assert compared >= (250 if cap == 32 else len(_RESOLVER_PROGRAMS))
+
+
+def test_detect_loops_takes_rules_or_their_call_graph():
+    for n in (0, 1, 2, 6):
+        rules = rules_of(make_loops(n))
+        assert detect_loops(rule_call_graph(rules)) == detect_loops(rules)
+        assert len(detect_loops(rule_call_graph(rules))) == n
+
