@@ -191,7 +191,7 @@ _ENDS_BLOCK = [for_byte(b).is_terminator for b in range(256)]
 class _Variant:
     """One context-specialized copy of an original block."""
 
-    __slots__ = ("index", "entry", "consts", "cont", "succ")
+    __slots__ = ("index", "entry", "consts", "cont", "succ", "reached")
 
     def __init__(self, index: int, entry: tuple[AbstractValue, ...]):
         self.index = index
@@ -202,11 +202,13 @@ class _Variant:
         # an unresolved JUMPI is (FallThrough, (fall pc,), reason) and a
         # stack underflow (Halt, (), reason).
         self.cont: tuple = (Halt, (), None)
-        # succ: per pc of cont, the (pc, variant index) of the successor, or
-        # None where the clone cap refused it.  A visit queues its edges with
-        # a new list that each appends to once, in order: the worklist is
-        # first in, first out.
-        self.succ: list[tuple[int, int] | None] = []
+        # succ: per pc of cont, the successor variant, or None where the
+        # clone cap refused it.  A visit queues its edges with a new list
+        # that each appends to once, in order: the worklist is first in,
+        # first out.
+        self.succ: list[_Variant | None] | None = []
+        # reached: a chain of resolved edges leads here from the entry.
+        self.reached = False
 
 
 def _join_stacks(
@@ -290,9 +292,9 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
 
     by_pc = {b.start_pc: b for b in blocks}
     variants: dict[int, list[_Variant]] = {}
-    # (variant key, or the refused pc for a clone-cap record; reason), in
-    # the order first found.
-    unresolved: dict[tuple[tuple[int, int] | str, str], None] = {}
+    # (variant, or the refused pc for a clone-cap record; reason), in the
+    # order first found.
+    unresolved: dict[tuple[_Variant | str, str], None] = {}
     # (pc, entry stack) -> continuation(); the worklist reaches many blocks
     # again from an entry it has simulated before.
     simulated: dict[tuple[int, tuple], tuple] = {}
@@ -335,13 +337,13 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
         # A halt, or running off the end of code (implicit STOP).
         return consts, (Halt, (), None), exit_stack
 
-    def process(pc: int, entry: tuple, pred: list[tuple[int, int] | None]) -> None:
+    def process(pc: int, entry: tuple, pred: list[_Variant | None]) -> None:
         block = by_pc[pc]
         consts, cont, succ_stack = continuation(block, entry)
         sig = (pc, len(entry), cont)
         var = matching.get(sig)
         if var is not None:
-            pred.append((pc, var.index))
+            pred.append(var)
             joined = _join_stacks(var.entry, entry)
             # A fault variant is never joined: its fault needs only the height.
             if consts is None or joined == var.entry:
@@ -361,13 +363,13 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
                 return
             var = matching[sig] = _Variant(len(vars_), entry)
             vars_.append(var)
-            pred.append((pc, var.index))
+            pred.append(var)
 
         var.consts = consts
         var.cont = cont
         _, pcs, reason = cont
         if reason:
-            unresolved[((pc, var.index), reason)] = None
+            unresolved[(var, reason)] = None
         var.succ = succ = []
         for target in pcs:
             work.append((target, succ_stack, succ))
@@ -378,16 +380,16 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
     while work:
         process(*work.popleft())
 
-    # The variants a chain of resolved edges reaches from the entry.
-    reached = set(entry_edge)
-    stack = list(entry_edge)
+    # Mark the variants a chain of resolved edges reaches from the entry.
+    entry_var = entry_edge[0]
+    entry_var.reached = True
+    stack = [entry_var]
     while stack:
-        pc, index = stack.pop()
-        for key in variants[pc][index].succ:
-            if key is not None and key not in reached:
-                reached.add(key)
-                stack.append(key)
-    return _build_cfg(by_pc, variants, unresolved, entry_edge[0], reached)
+        for var in stack.pop().succ:
+            if var is not None and not var.reached:
+                var.reached = True
+                stack.append(var)
+    return _build_cfg(by_pc, variants, unresolved, entry_var)
 
 
 def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
@@ -401,12 +403,12 @@ def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
     return None
 
 
-def _build_cfg(by_pc, variants, unresolved, entry, reached) -> Cfg:
-    """Name the variants, read their successors, mark dead those not in
-    ``reached``, and add a "dropped" record for each resolved edge whose
-    successor the clone cap refused."""
+def _build_cfg(by_pc, variants, unresolved, entry) -> Cfg:
+    """Name the variants, read (and cut) their successor links, mark dead
+    those not reached, and add a "dropped" record for each resolved edge
+    whose successor the clone cap refused."""
     ids = {
-        (pc, var.index): str(pc) if len(vars_) == 1 else f"{pc}_c{var.index}"
+        var: str(pc) if len(vars_) == 1 else f"{pc}_c{var.index}"
         for pc, vars_ in variants.items()
         for var in vars_
     }
@@ -416,20 +418,22 @@ def _build_cfg(by_pc, variants, unresolved, entry, reached) -> Cfg:
     for pc in sorted(by_pc):
         src = by_pc[pc]
         for var in variants.get(pc, []):
-            key = (pc, var.index)
             kind = var.cont[0]
             targets = list(map(ids.get, var.succ))
+            # The variants of a loop link to each other; cutting the links
+            # once read lets reference counting free them.
+            var.succ = None
             term: Terminator = Halt()
             if None not in targets:
                 term = kind(*targets)
             elif targets[-1] is not None:
                 # Only a branch can lose one edge and keep another.
-                unresolved[(key, "branch target dropped")] = None
+                unresolved[(var, "branch target dropped")] = None
                 term = FallThrough(targets[-1])
             else:
-                unresolved[(key, _DROPPED[kind])] = None
-            bid = ids[key]
-            dead = var.consts is None or key not in reached
+                unresolved[(var, _DROPPED[kind])] = None
+            bid = ids[var]
+            dead = var.consts is None or not var.reached
             blocks_out[bid] = Block(
                 id=bid,
                 start_pc=pc,
