@@ -3,6 +3,7 @@
 import random
 
 import pytest
+
 from corpus import CORPUS, COUNTER_LOOP
 from helpers import brute_force_loops
 from progen import gen_program, make_loops
