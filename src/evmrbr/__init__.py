@@ -7,6 +7,7 @@ oracles and ``detect_loops`` for structural loop reports.
 """
 
 from .asm import Instruction, assemble, disassemble, format_listing, parse_hex
+from .cfg import CLONE_CAP as _CLONE_CAP  # public as evmrbr.cfg.CLONE_CAP
 from .cfg import (
     Block,
     Cfg,
@@ -31,7 +32,7 @@ from .translate import build_layout, tau, tau_G, translate_block, translate_cfg
 __version__ = "0.1.0"
 
 
-def decompile(code: bytes, *, nops: bool = False, clone_cap: int = 32) -> list[Rule]:
+def decompile(code: bytes, *, nops: bool = False, clone_cap: int = _CLONE_CAP) -> list[Rule]:
     """Convenience: bytecode bytes to rules in one call."""
     return translate_cfg(resolve_cfg(split_blocks(disassemble(code)), clone_cap), nops=nops)
 

@@ -28,6 +28,9 @@ AbstractValue = Optional[int]
 
 UNRESOLVED = "?"
 
+# The most variants ``resolve_cfg`` makes of one block, unless told otherwise.
+CLONE_CAP = 32
+
 
 @dataclass(frozen=True)
 class Jump:
@@ -100,6 +103,8 @@ class Block:
 class Cfg:
     """Resolved blocks by id, the entry id, and the unresolved jumps.
 
+    ``blocks`` is in ``id_sort_key`` order (by pc, then variant index), as
+    ``resolve_cfg`` builds it; every reader takes that order as given.
     Each ``unresolved`` record is (block id, reason), in the order found,
     with one of the 11 reasons listed in ``resolve_cfg``.  One id can carry
     two records.  A clone-cap record names the refused pc, which need not
@@ -112,33 +117,16 @@ class Cfg:
     unresolved: list[tuple[str, str]] = field(default_factory=list)
 
     def live_blocks(self) -> list[Block]:
-        """Live blocks in ascending id order."""
-        return [
-            self.blocks[bid]
-            for bid in sorted(self.blocks, key=id_sort_key)
-            if not self.blocks[bid].dead
-        ]
-
-
-def block_leaders(instrs: list[Instruction]) -> set[int]:
-    """Offsets that start a basic block: the first instruction, every
-    JUMPDEST, and every instruction following a terminator."""
-    leaders = {instrs[0].offset} if instrs else set()
-    ends_block = _ENDS_BLOCK
-    prev_terminates = False
-    for offset, op, _ in instrs:
-        code = op.code
-        if prev_terminates or code == JUMPDEST:
-            leaders.add(offset)
-        prev_terminates = ends_block[code]
-    return leaders
+        """Live blocks in ``blocks`` order, which is ascending id order."""
+        return [block for block in self.blocks.values() if not block.dead]
 
 
 def split_blocks(instrs: list[Instruction]) -> list[Block]:
     """Split an instruction stream into blocks with unresolved terminators.
 
-    One pass: a JUMPDEST opens a block and a terminator closes one, so the
-    blocks start at exactly the ``block_leaders`` offsets.
+    One pass: a block starts at offset 0, at every JUMPDEST and after every
+    terminator, and these starts are the block leaders.  The concrete
+    oracle cuts its runs at the same leaders on its own.
     """
     blocks = []
     ends_block = _ENDS_BLOCK
@@ -258,7 +246,7 @@ class _Underflow(Exception):
         self.offset = offset
 
 
-def resolve_cfg(blocks: list[Block], clone_cap: int = 32) -> Cfg:
+def resolve_cfg(blocks: list[Block], clone_cap: int = CLONE_CAP) -> Cfg:
     """Resolve jump targets into a Cfg, cloning context-dependent blocks.
 
     A jump that cannot be resolved raises nothing: it is listed in
@@ -464,15 +452,13 @@ _DOT_LABELS = {Jump: ("jump",), JumpI: ("true", "false"), FallThrough: ("fall",)
 def emit_dot(cfg: Cfg) -> str:
     """Render the Cfg as a Graphviz digraph with deterministic ordering."""
     lines = ["digraph cfg {", "  node [shape=box];"]
-    order = sorted(cfg.blocks, key=id_sort_key)
-    for bid in order:
-        block = cfg.blocks[bid]
+    for bid, block in cfg.blocks.items():
         title = bid + (" (dead)" if block.dead else "")
         label = "\\l".join([title] + [str(i) for i in block.instrs]) + "\\l"
         style = ", style=dashed" if block.dead else ""
         lines.append(f'  "{bid}" [label="{label}"{style}];')
-    for bid in order:
-        term = cfg.blocks[bid].terminator
+    for bid, block in cfg.blocks.items():
+        term = block.terminator
         for target, label in zip(successors(term), _DOT_LABELS[type(term)]):
             lines.append(f'  "{bid}" -> "{target}" [label="{label}"];')
     lines.append("}")

@@ -15,7 +15,7 @@ import logging
 import sys
 
 from .asm import disassemble, format_listing, parse_hex
-from .cfg import FallThrough, Halt, Jump, JumpI, emit_dot, id_sort_key
+from .cfg import CLONE_CAP, FallThrough, Halt, Jump, JumpI, emit_dot
 from .cfg import resolve_cfg, split_blocks, successors
 from .diff import differential_check
 from .emit import emit_rbr, export_saco
@@ -44,6 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="evmrbr",
         description="Lift EVM bytecode into a guarded rule-based representation.",
     )
+    # Every command resolves at the default cap; only cfg takes another.
+    parser.set_defaults(clone_cap=CLONE_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_: str) -> argparse.ArgumentParser:
@@ -55,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cfg_cmd = add("cfg", "print the block summary (or DOT with --dot)")
     cfg_cmd.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     cfg_cmd.add_argument(
-        "--clone-cap", type=_count(1), default=32, metavar="N",
-        help="max clones per block (default 32)",
+        "--clone-cap", type=_count(1), default=CLONE_CAP, metavar="N",
+        help="max clones per block (default %(default)s)",
     )
     rbr_cmd = add("rbr", "print or write the rule program")
     rbr_cmd.add_argument("--nops", action="store_true", help="keep nop(...) markers")
@@ -91,8 +93,7 @@ _SUMMARY_KINDS = {Jump: "jump", JumpI: "branch", FallThrough: "fall", Halt: "hal
 
 def _cfg_summary(cfg) -> str:
     lines = [f"entry: {cfg.entry}"]
-    for bid in sorted(cfg.blocks, key=id_sort_key):
-        block = cfg.blocks[bid]
+    for bid, block in cfg.blocks.items():
         height = "-" if block.entry_height is None else str(block.entry_height)
         succ = ", ".join(successors(block.terminator))
         kind = _SUMMARY_KINDS[type(block.terminator)] + (f" -> {succ}" if succ else "")
@@ -109,17 +110,14 @@ def _cfg_summary(cfg) -> str:
 
 def _push0_warning(cfg) -> str | None:
     """A warning naming the first live PUSH0 byte, which decodes as a halt."""
-    offsets = [
-        block.instrs[-1].offset
-        for block in cfg.blocks.values()
-        if not block.dead and block.instrs[-1].opcode.code == PUSH0
-    ]
-    if not offsets:
-        return None
-    return (
-        f"warning: offset {min(offsets)}: 0x5f is PUSH0 (EIP-3855, Shanghai), which this "
-        "Constantinople decoder does not read; it is decoded as a halt"
-    )
+    for block in cfg.live_blocks():
+        last = block.instrs[-1]
+        if last.opcode.code == PUSH0:
+            return (
+                f"warning: offset {last.offset}: 0x5f is PUSH0 (EIP-3855, Shanghai), which "
+                "this Constantinople decoder does not read; it is decoded as a halt"
+            )
+    return None
 
 
 def _loop_report(loops: list[list[str]]) -> str:
@@ -162,16 +160,15 @@ def _run(args: argparse.Namespace) -> int:
         return 1
 
     try:
+        instrs = disassemble(code)
         if args.command == "disasm":
-            print(format_listing(disassemble(code)))
+            print(format_listing(instrs))
             return 0
+        blocks = split_blocks(instrs)
+        cfg = resolve_cfg(blocks, clone_cap=args.clone_cap)
         if args.command == "cfg":
-            cfg = resolve_cfg(split_blocks(disassemble(code)), clone_cap=args.clone_cap)
             sys.stdout.write(emit_dot(cfg) if args.dot else _cfg_summary(cfg))
             return 0
-
-        blocks = split_blocks(disassemble(code))
-        cfg = resolve_cfg(blocks)
         for bid, reason in cfg.unresolved:
             print(f"warning: block {bid}: {reason}", file=sys.stderr)
         push0 = _push0_warning(cfg)

@@ -27,21 +27,21 @@ def detect_loops(rules: list[Rule] | dict[str, set[str]]) -> list[list[str]]:
     or ``translate.call_graph(cfg)``, which builds no rule.
     """
     graph = rules if isinstance(rules, dict) else rule_call_graph(rules)
-    # Every member and every successor _tarjan sorts is a node of the graph.
-    sort_key = {name: rule_sort_key(name) for name in graph}.__getitem__
     loops = [
-        sorted(comp, key=sort_key)
-        for comp in _tarjan(graph, sort_key)
+        sorted(comp, key=rule_sort_key)
+        for comp in _tarjan(graph)
         if len(comp) > 1 or comp[0] in graph[comp[0]]
     ]
-    return sorted(loops, key=lambda members: sort_key(members[0]))
+    return sorted(loops, key=lambda members: rule_sort_key(members[0]))
 
 
-def _tarjan(graph: dict[str, set[str]], sort_key=rule_sort_key) -> list[list[str]]:
+def _tarjan(graph: dict[str, set[str]]) -> list[list[str]]:
     """Iterative Tarjan SCC (rule graphs of large contracts get deep).
 
-    Roots and successors are taken in ``sort_key`` order; successors that
-    are not nodes of the graph are left out.
+    Roots are taken in graph order and successors in set order, which
+    follows the hash seed, so the order of the components and of their
+    members is left to the caller: ``detect_loops`` sorts both.  Successors
+    that are not nodes of the graph are left out.
     """
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -51,9 +51,9 @@ def _tarjan(graph: dict[str, set[str]], sort_key=rule_sort_key) -> list[list[str
     counter = 0
 
     def ordered_succs(node: str):
-        return iter(sorted(graph.get(node, set()) & graph.keys(), key=sort_key))
+        return iter(graph[node] & graph.keys())
 
-    for root in sorted(graph, key=sort_key):
+    for root in graph:
         if root in index:
             continue
         index[root] = low[root] = counter

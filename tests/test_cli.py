@@ -3,6 +3,7 @@
 import gc
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from corpus import ADD_STORE, CORPUS
+from progen import gen_program
 
 import evmrbr.asm
 import evmrbr.cli
@@ -474,6 +476,24 @@ def test_stdout_deterministic(run):
     first = run("rbr", "-", stdin=CORPUS["dispatcher"].hex())
     second = run("rbr", "-", stdin=CORPUS["dispatcher"].hex())
     assert first == second
+
+
+_LOOPING = {"six_loops": CORPUS["six_loops"], "progen-11": gen_program(random.Random(11))}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOPING))
+@pytest.mark.parametrize("argv", [("loops",), ("rbr",), ("cfg", "--dot")], ids=" ".join)
+def test_stdout_does_not_follow_the_hash_seed(name, argv):
+    # The loop search walks successor sets in hash order, and the rule and
+    # block orders are taken as given; none of it may reach stdout.
+    outs = [
+        cli_process(argv[0], "-", *argv[1:], stdin=_LOOPING[name].hex(), PYTHONHASHSEED=seed)
+        for seed in ("0", "12345")
+    ]
+    assert [(out.returncode, out.stderr) for out in outs] == [(0, "")] * 2
+    assert outs[0].stdout == outs[1].stdout
+    if argv == ("loops",):
+        assert outs[0].stdout != "loops: 0\n"
 
 
 def test_diagnostics_go_to_stderr():

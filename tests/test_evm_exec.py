@@ -11,7 +11,7 @@ from progen import gen_program
 
 from evmrbr import asm, evm_exec
 from evmrbr.asm import disassemble
-from evmrbr.cfg import block_leaders
+from evmrbr.cfg import split_blocks
 from evmrbr.diff import _ENV_NAMES, INPUT_BOUND
 from evmrbr.errors import (
     EvmFault,
@@ -394,7 +394,7 @@ def _expected_step(instrs, i):
 
 def test_runs_start_at_the_block_leaders_and_cover_the_listing():
     cut = 0
-    for code in block_fuzz_codes():
+    for code in [*CORPUS.values(), *block_fuzz_codes()]:
         try:
             instrs = disassemble(code)
         except TruncatedPush:
@@ -403,8 +403,9 @@ def test_runs_start_at_the_block_leaders_and_cover_the_listing():
         assert all(runs), code.hex()
         firsts = [sum(map(len, runs[:r])) for r in range(len(runs))]
         starts = [instrs[first].offset for first in firsts]
-        # Two leader rules, the oracle's and the CFG's, must agree.
-        assert starts == sorted(block_leaders(instrs)), code.hex()
+        # Two leader rules, the oracle's run cut and the CFG's block split,
+        # must agree.
+        assert starts == [block.start_pc for block in split_blocks(instrs)], code.hex()
         steps = [step for run in runs for step in run]
         assert steps == [_expected_step(instrs, i) for i in range(len(instrs))], code.hex()
         assert jumpdests == {
