@@ -1,8 +1,9 @@
 """Decode raw bytecode into typed instructions and back.
 
 Decoding is total: every byte value is an opcode (unknown ones are
-INVALID-class, see :mod:`evmrbr.opcodes`).  The only hard error is a PUSH
-whose immediate bytes run past the end of the code.
+INVALID-class, see :mod:`evmrbr.opcodes`), and a PUSH whose immediate
+bytes run past the end of the code reads the missing bytes as zeros, as
+the EVM does.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import InconsistentOffsets, NonHexCharacter, OddDigitCount, TruncatedPush
+from .errors import InconsistentOffsets, NonHexCharacter, OddDigitCount
 from .opcodes import Opcode, for_byte
 
 
@@ -71,12 +72,15 @@ _last: tuple[bytes, tuple[Instruction, ...]] = (b"", ())
 
 
 def disassemble(code: bytes) -> list[Instruction]:
-    """Decode every byte of ``code`` into an instruction stream.
+    """Decode every byte of ``code`` into an instruction stream; this never
+    fails.
 
-    Returns a new list on every call.  The last bytes decoded and their
-    instructions are kept until different bytes are decoded, so decoding
-    the same code again (as each case of a check does) copies that result.
-    A truncated PUSH raises on every call and is never kept.
+    A PUSH cut off by the end of the code is padded with zero bytes: its
+    ``offset + size`` lies past the code, and its immediate is the bytes
+    present shifted left.  Returns a new list on every call.  The last
+    bytes decoded and their instructions are kept until different bytes are
+    decoded, so decoding the same code again (as each case of a check does)
+    copies that result.
     """
     global _last
     code = bytes(code)
@@ -94,12 +98,11 @@ def _decode(code: bytes) -> list[Instruction]:
     new = tuple.__new__  # skips the keyword-handling constructor
     offset = 0
     n = len(code)
+    code = code + bytes(32)  # the EVM reads code past its end as zeros
     while offset < n:
         op, width = _DECODE[code[offset]]
         if width:
             end = offset + 1 + width
-            if end > n:
-                raise TruncatedPush(offset)
             append(new(Instruction, (offset, op, int.from_bytes(code[offset + 1 : end], "big"))))
             offset = end
         else:

@@ -161,6 +161,12 @@ def _run(args: argparse.Namespace) -> int:
 
     try:
         instrs = disassemble(code)
+        if instrs and instrs[-1].offset + instrs[-1].size > len(code):
+            print(
+                f"warning: offset {instrs[-1].offset}: {instrs[-1].mnemonic} runs past the end "
+                "of code; the missing bytes read as zeros",
+                file=sys.stderr,
+            )
         if args.command == "disasm":
             print(format_listing(instrs))
             return 0

@@ -23,12 +23,6 @@ class NonHexCharacter(HexError):
         self.char = char
 
 
-class TruncatedPush(EvmRbrError):
-    def __init__(self, offset: int) -> None:
-        super().__init__(f"push at offset {offset} runs past the end of code")
-        self.offset = offset
-
-
 class InconsistentOffsets(EvmRbrError):
     def __init__(self, offset: int, expected: int) -> None:
         super().__init__(f"instruction at offset {offset}, expected {expected}")

@@ -78,8 +78,8 @@ def run_evm(
 def _program(code: bytes) -> tuple[tuple, dict[int, int]]:
     """The runs and JUMPDEST map of ``code``: kept from the last call on
     equal bytes, else prepared from a new decode and kept.  ``code`` is
-    decoded on every call, so a truncated PUSH raises on every call and is
-    never kept."""
+    decoded on every call, which the decoder's own memo answers; a PUSH cut
+    off by the end of the code pushes its bytes padded with zeros."""
     global _prepared
     instrs = disassemble(code)
     saved_code, runs, jumpdests = _prepared

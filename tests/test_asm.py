@@ -6,7 +6,7 @@ import pytest
 
 from evmrbr import asm, evm_exec
 from evmrbr.asm import Instruction, assemble, disassemble, format_listing, parse_hex
-from evmrbr.errors import InconsistentOffsets, NonHexCharacter, OddDigitCount, TruncatedPush
+from evmrbr.errors import InconsistentOffsets, NonHexCharacter, OddDigitCount
 from evmrbr.opcodes import BY_NAME, for_byte
 
 
@@ -27,15 +27,14 @@ def test_disassemble_add_program():
 
 
 def test_truncated_push():
-    with pytest.raises(TruncatedPush) as err:
-        disassemble(bytes.fromhex("60"))
-    assert err.value.offset == 0
+    # The EVM reads code past its end as zeros.
+    assert disassemble(bytes.fromhex("60")) == [Instruction(0, BY_NAME["PUSH1"], 0)]
 
 
 def test_truncated_push_late():
-    with pytest.raises(TruncatedPush) as err:
-        disassemble(bytes.fromhex("00611234600055" + "62ffff"))
-    assert err.value.offset == 7
+    instrs = disassemble(bytes.fromhex("00611234600055" + "62ffff"))
+    assert [str(ins) for ins in instrs[-2:]] == ["6: SSTORE", "7: PUSH3 0xffff00"]
+    assert instrs[-1].offset + instrs[-1].size == 11  # one byte past the code
 
 
 def test_every_byte_consumed_once():
@@ -185,14 +184,3 @@ def test_memo_takes_any_bytes_like_code(decodes):
     assert decodes == [code]
     buffer[0] = 0x00  # the memo holds a copy, not the caller's buffer
     assert disassemble(buffer) == decode(bytes(buffer)) != expected
-
-
-def test_memo_keeps_no_truncated_push(decodes):
-    good, bad = bytes.fromhex("600560040100"), bytes.fromhex("00611234600055" + "62ffff")
-    first = disassemble(good)
-    for _ in range(3):
-        with pytest.raises(TruncatedPush) as err:
-            disassemble(bad)
-        assert err.value.offset == 7
-    assert disassemble(good) == first
-    assert decodes == [good, bad, bad, bad]

@@ -26,7 +26,6 @@ from evmrbr.cfg import (
     successors,
 )
 from evmrbr.cli import _cfg_summary
-from evmrbr.errors import TruncatedPush
 from evmrbr.evm_exec import run_evm
 from evmrbr.opcodes import JUMPDEST, for_byte
 
@@ -46,12 +45,8 @@ def test_block_leaders_start_the_split_blocks():
     # The leaders are offset 0, every JUMPDEST and every instruction after a
     # terminator: inside a block no JUMPDEST opens and no terminator closes.
     # tests/test_evm_exec.py checks them against the oracle's own cut.
-    split = 0
     for code in [*CORPUS.values(), *block_fuzz_codes()]:
-        try:
-            instrs = disassemble(code)
-        except TruncatedPush:
-            continue
+        instrs = disassemble(code)
         blocks = split_blocks(instrs)
         assert [ins for b in blocks for ins in b.instrs] == instrs, code.hex()
         for block in blocks:
@@ -63,8 +58,6 @@ def test_block_leaders_start_the_split_blocks():
                 before.instrs[-1].opcode.is_terminator
                 or after.instrs[0].opcode.code == JUMPDEST
             ), code.hex()
-        split += 1
-    assert split > 1000
 
 
 def test_split_jump_program():
@@ -533,19 +526,19 @@ def test_clone_cap_record_names_the_refused_pc():
 
 
 def _pinned_resolves(name: str, code: bytes) -> list:
-    """``code`` and the first 25 mutants of it that disassemble, each
-    overwriting 1-3 bytes (seeded by ``name``), each resolved at clone caps
-    1, 4 and 32."""
+    """``code`` and the first 25 mutants of it that do not end inside a
+    PUSH, each overwriting 1-3 bytes (seeded by ``name``), each resolved at
+    clone caps 1, 4 and 32.  The sample was drawn when such a PUSH failed to
+    decode."""
     rng = random.Random(name)
     listings = [disassemble(code)]
     while len(listings) < 26:
         mutant = bytearray(code)
         for _ in range(rng.randint(1, 3)):
             mutant[rng.randrange(len(mutant))] = rng.randrange(256)
-        try:
-            listings.append(disassemble(bytes(mutant)))
-        except TruncatedPush:
-            pass
+        instrs = disassemble(bytes(mutant))
+        if instrs[-1].offset + instrs[-1].size <= len(mutant):
+            listings.append(instrs)
     return [resolve_cfg(split_blocks(instrs), cap) for instrs in listings for cap in (1, 4, 32)]
 
 
@@ -638,34 +631,22 @@ def _reached_from_entry(cfg) -> set[str]:
 @pytest.mark.parametrize("cap", [1, 4, 32])
 def test_every_live_block_is_reachable_from_the_entry(cap):
     codes = [*_RESOLVER_PROGRAMS.values(), *block_fuzz_codes()]
-    resolved = 0
     for code in codes:
-        try:
-            cfg = cfg_of(code, clone_cap=cap)
-        except TruncatedPush:
-            continue
+        cfg = cfg_of(code, clone_cap=cap)
         reached = _reached_from_entry(cfg)
         live = {bid for bid, block in cfg.blocks.items() if not block.dead}
         assert live <= reached, (code.hex(), sorted(live - reached))
         # A reached block is dead only when its entry stack underflows.
         for bid in reached - live:
             assert cfg.blocks[bid].terminator == Halt(), (code.hex(), bid)
-        resolved += 1
-    assert resolved > 1000
 
 
 @pytest.mark.parametrize("cap", [1, 4, 32])
 def test_blocks_come_in_id_order(cap):
     # Cfg.blocks order is what every reader of the CFG prints in.
-    resolved = 0
     for code in [*_RESOLVER_PROGRAMS.values(), *block_fuzz_codes()]:
-        try:
-            cfg = cfg_of(code, clone_cap=cap)
-        except TruncatedPush:
-            continue
+        cfg = cfg_of(code, clone_cap=cap)
         assert list(cfg.blocks) == sorted(cfg.blocks, key=id_sort_key), code.hex()
-        resolved += 1
-    assert resolved > 1000
 
 
 def test_a_variant_a_join_left_unreachable_is_dead():

@@ -137,10 +137,20 @@ def test_check_zero_runs_is_valid(run):
     assert run("check", "-", "--runs", "0", stdin="00") == (0, "divergences: 0/0\n", "")
 
 
-def test_truncated_push_is_pipeline_error(run):
-    code, out, err = run("disasm", "-", stdin="60")
-    assert code == 2
-    assert "push at offset 0" in err
+_PADDING_WARNING = (
+    "warning: offset 6: PUSH32 runs past the end of code; the missing bytes read as zeros\n"
+)
+
+
+@pytest.mark.parametrize("command", ["disasm", "cfg", "rbr", "saco", "loops", "check"])
+def test_truncated_push_reads_zeros_and_warns_once(run, command):
+    # SSTORE 1 at 0, INVALID, then a PUSH32 with two of its bytes
+    code, out, err = run(command, "-", stdin="6001600055fe7f0102")
+    assert (code, err) == (0, _PADDING_WARNING)
+    if command == "rbr":
+        assert out == "block_0(g0) =>\n  s0 = 1,\n  s1 = 0,\n  g0 = s0\n"
+    if command == "disasm":
+        assert out.endswith("6: PUSH32 0x102" + "0" * 60 + "\n")
 
 
 def test_cfg_summary(run):

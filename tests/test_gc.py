@@ -111,8 +111,6 @@ def test_stages_make_no_cycles(cycles, name):
         # the jump target is read back from memory: unresolved
         ("6000356000525b600051565b00", 11, "cannot check code with unresolved jumps"),
         ("5601", 11, "cannot check code with unresolved jumps"),
-        # PUSH1 1, then a PUSH2 with one byte of its immediate
-        ("600161ff", 0, "push at offset 2 runs past the end of code"),
     ],
 )
 def test_raising_stages_make_no_cycles(cycles, hexstr, stages, message):

@@ -12,7 +12,6 @@ from test_cli_outcomes import inputs as cli_outcome_inputs
 
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
-from evmrbr.errors import TruncatedPush
 from evmrbr.loops import detect_loops, rule_call_graph
 from evmrbr.translate import call_graph, translate_cfg
 
@@ -90,17 +89,11 @@ def test_call_graph_reads_the_translated_call_graph_off_the_cfg(cap):
     programs = [*_RESOLVER_PROGRAMS.values()]
     if cap == 32:
         programs += _call_graph_programs()
-    compared = 0
     for code in programs:
-        try:
-            cfg = resolve_cfg(split_blocks(disassemble(code)), cap)
-        except TruncatedPush:
-            continue
+        cfg = resolve_cfg(split_blocks(disassemble(code)), cap)
         graph = call_graph(cfg)
         assert graph == rule_call_graph(translate_cfg(cfg)), code.hex()
         assert detect_loops(graph) == detect_loops(translate_cfg(cfg)), code.hex()
-        compared += 1
-    assert compared >= (250 if cap == 32 else len(_RESOLVER_PROGRAMS))
 
 
 def test_detect_loops_takes_rules_or_their_call_graph():
