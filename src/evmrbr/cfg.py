@@ -450,7 +450,7 @@ _DOT_LABELS = {Jump: ("jump",), JumpI: ("true", "false"), FallThrough: ("fall",)
 
 
 def emit_dot(cfg: Cfg) -> str:
-    """Render the Cfg as a Graphviz digraph with deterministic ordering."""
+    """Render the Cfg as a Graphviz digraph, nodes and edges in ``blocks`` order."""
     lines = ["digraph cfg {", "  node [shape=box];"]
     for bid, block in cfg.blocks.items():
         title = bid + (" (dead)" if block.dead else "")

@@ -50,7 +50,7 @@ def _tarjan(graph: dict[str, set[str]]) -> list[list[str]]:
     sccs: list[list[str]] = []
     counter = 0
 
-    def ordered_succs(node: str):
+    def succs_of(node: str):
         return iter(graph[node] & graph.keys())
 
     for root in graph:
@@ -60,7 +60,7 @@ def _tarjan(graph: dict[str, set[str]]) -> list[list[str]]:
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work = [(root, ordered_succs(root))]
+        work = [(root, succs_of(root))]
         while work:
             node, succs = work[-1]
             advanced = False
@@ -70,7 +70,7 @@ def _tarjan(graph: dict[str, set[str]]) -> list[list[str]]:
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, ordered_succs(succ)))
+                    work.append((succ, succs_of(succ)))
                     advanced = True
                     break
                 if succ in on_stack:
