@@ -94,10 +94,6 @@ class Block:
         offset, op, _ = self.instrs[-1]
         return offset + 1 + op.immediate_len
 
-    @property
-    def byte_size(self) -> int:
-        return self.end_pc - self.start_pc
-
 
 @dataclass
 class Cfg:

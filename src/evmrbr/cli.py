@@ -91,17 +91,17 @@ def _write_output(text: str, output: str | None) -> None:
 _SUMMARY_KINDS = {Jump: "jump", JumpI: "branch", FallThrough: "fall", Halt: "halt"}
 
 
-def _cfg_summary(cfg) -> str:
+def _cfg_summary(cfg, code: bytes) -> str:
+    """The ``cfg`` listing; a block's bytes are those inside ``code``, so a
+    PUSH running past its end counts no zero padding."""
     lines = [f"entry: {cfg.entry}"]
     for bid, block in cfg.blocks.items():
         height = "-" if block.entry_height is None else str(block.entry_height)
         succ = ", ".join(successors(block.terminator))
         kind = _SUMMARY_KINDS[type(block.terminator)] + (f" -> {succ}" if succ else "")
         dead = " dead" if block.dead else ""
-        lines.append(
-            f"block {bid}: pc={block.start_pc} bytes={block.byte_size} "
-            f"height={height} {kind}{dead}"
-        )
+        size = min(block.end_pc, len(code)) - block.start_pc
+        lines.append(f"block {bid}: pc={block.start_pc} bytes={size} height={height} {kind}{dead}")
     if cfg.unresolved:
         lines.append("unresolved:")
         lines.extend(f"  {bid}: {reason}" for bid, reason in cfg.unresolved)
@@ -173,7 +173,7 @@ def _run(args: argparse.Namespace) -> int:
         blocks = split_blocks(instrs)
         cfg = resolve_cfg(blocks, clone_cap=args.clone_cap)
         if args.command == "cfg":
-            sys.stdout.write(emit_dot(cfg) if args.dot else _cfg_summary(cfg))
+            sys.stdout.write(emit_dot(cfg) if args.dot else _cfg_summary(cfg, code))
             return 0
         for bid, reason in cfg.unresolved:
             print(f"warning: block {bid}: {reason}", file=sys.stderr)

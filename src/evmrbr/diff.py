@@ -93,7 +93,6 @@ def differential_check(
     if rules is None:
         rules = translate_cfg(cfg)
     layout = rules[0].layout
-    names = _Names(layout)
     entry_rule = f"block_{cfg.entry}"
     pc_edges = _pc_edges(cfg)
     index = index_rules(rules)
@@ -117,7 +116,7 @@ def differential_check(
         evm_state, evm_trace = run_evm(
             code, calldata, env, step_limit=step_limit, storage=dict(storage)
         )
-        init = _initial_bindings(names, calldata, env, storage)
+        init = _initial_bindings(layout, calldata, env, storage)
         try:
             rbr_state, rule_trace = run_rbr(
                 index, init, step_limit=step_limit, entry=entry_rule, fresh_seed=fresh_seed
@@ -130,21 +129,8 @@ def differential_check(
 
         report.executed_rules.update(rule_trace)
         rule_pcs = [block_pcs[name] for name in rule_trace if name in block_pcs]
-        _compare(case, names, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report)
+        _compare(case, layout, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report)
     return report
-
-
-class _Names:
-    """The binding names of a check's layout, made once for all its cases."""
-
-    def __init__(self, layout) -> None:
-        self.globals = [f"g{i}" for i in range(layout.k + 1)]
-        self.locals = [f"l{i}" for i in range(layout.r + 1)]
-        # (address, local) of each tracked memory word, by address
-        self.words = [(addr, f"l{idx}") for addr, idx in sorted(layout.lmap.items())]
-        # (md variable, calldata offset) of each constant offset
-        self.md = [(f"md{i}", offset) for i, offset in enumerate(layout.md_offsets)]
-        self.named_bc = layout.named_bc
 
 
 def _make_calldata(layout) -> bytearray:
@@ -170,13 +156,15 @@ def _draw_calldata(data: bytearray, layout, rng: random.Random) -> None:
         data[offset : offset + 32] = rng.randrange(INPUT_BOUND).to_bytes(32, "big")
 
 
-def _initial_bindings(names: _Names, calldata: bytearray, env, storage) -> dict[str, int]:
-    init = {name: storage[i] for i, name in enumerate(names.globals)}
-    init.update(dict.fromkeys(names.locals, 0))
-    for name, offset in names.md:
+def _initial_bindings(layout, calldata: bytearray, env, storage) -> dict[str, int]:
+    """One case's entry bindings: g from ``storage``, l zeroed, md from
+    ``calldata`` at each of ``layout.md_offsets``, then the named reads."""
+    init = {f"g{i}": storage[i] for i in range(layout.k + 1)}
+    init.update({f"l{i}": 0 for i in range(layout.r + 1)})
+    for i, offset in enumerate(layout.md_offsets):
         word = calldata[offset : offset + 32].ljust(32, b"\0")
-        init[name] = int.from_bytes(word, "big")
-    for name in names.named_bc:
+        init[f"md{i}"] = int.from_bytes(word, "big")
+    for name in layout.named_bc:
         init[name] = len(calldata) if name == "calldatasize" else env[name]
     return init
 
@@ -189,20 +177,15 @@ def _pc_edges(cfg: Cfg) -> set[tuple[int, int]]:
     }
 
 
-def _compare(case, names, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report):
+def _compare(case, layout, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report):
     bindings = rbr_state.bindings
-    storage = evm_state.storage
-    for i, name in enumerate(names.globals):
-        expected = storage.get(i, 0)
+    storage, memory = evm_state.storage, evm_state.memory
+    expected = [(f"g{i}", storage.get(i, 0)) for i in range(layout.k + 1)]
+    expected += [(f"l{idx}", memory.get(addr, 0)) for addr, idx in sorted(layout.lmap.items())]
+    for name, value in expected:
         got = bindings.get(name)
-        if got != expected:
-            report.divergences.append(Divergence(case, name, str(expected), str(got)))
-    memory = evm_state.memory
-    for addr, name in names.words:
-        expected = memory.get(addr, 0)
-        got = bindings.get(name)
-        if got != expected:
-            report.divergences.append(Divergence(case, name, str(expected), str(got)))
+        if got != value:
+            report.divergences.append(Divergence(case, name, str(value), str(got)))
 
     if rule_pcs != evm_trace:
         report.divergences.append(

@@ -62,8 +62,7 @@ class _Printer:
     as one object, and the rules keep every key alive while the call runs.
     """
 
-    def __init__(self, nops: bool):
-        self.nops = nops
+    def __init__(self):
         self.arg_lists: dict[tuple[int, int], str] = {}
         self.lines: dict[int, str] = {}
 
@@ -87,11 +86,8 @@ class _Printer:
         for stmt in rule.body:
             line = lines.get(id(stmt))
             if line is None:
-                # An empty line stands for a left-out nop marker.
-                skip = isinstance(stmt, Nop) and not self.nops
-                line = lines[id(stmt)] = "" if skip else "  " + format_statement(stmt)
-            if line:
-                items.append(line)
+                line = lines[id(stmt)] = "  " + format_statement(stmt)
+            items.append(line)
         if rule.continuation is not None:
             items.append("  " + self._call(rule, rule.continuation))
         if not items:
@@ -116,15 +112,13 @@ def _header(rules: list[Rule]) -> list[str]:
     return lines
 
 
-def emit_rbr(rules: list[Rule], *, nops: bool = True) -> str:
-    """Render rules in ascending name order; byte-identical across runs.
-
-    With ``nops=False`` the ``nop(...)`` markers are left out.
-    """
+def emit_rbr(rules: list[Rule]) -> str:
+    """Render rules in ascending name order, byte-identical across runs,
+    with a ``nop`` marker exactly where ``translate_cfg(nops=True)`` left one."""
     ordered = sorted(rules, key=lambda r: rule_sort_key(r.name))
     header = _header(rules)
     chunks = ["\n".join(header)] if header else []
-    printer = _Printer(nops)
+    printer = _Printer()
     chunks += [printer.format(r) for r in ordered]
     return "\n\n".join(chunks) + "\n" if chunks else ""
 
@@ -170,4 +164,4 @@ def export_saco(rules: list[Rule]) -> str:
                 counter += 1
             body.append(stmt)
         rewritten.append(rule if body == rule.body else replace(rule, body=body))
-    return "-- saco\n" + emit_rbr(rewritten, nops=False)
+    return "-- saco\n" + emit_rbr(rewritten)

@@ -244,5 +244,5 @@ _STEPS = [
     else (kind, arg, None)
     for op, (kind, arg) in zip(map(for_byte, range(256)), KINDS)
 ]
-# Opcode byte -> whether the step closes its run.
-_CLOSES = [step[0] in ("jump", "jumpi") or for_byte(b).halts for b, step in enumerate(_STEPS)]
+# Opcode byte -> whether its step closes a run: ``Opcode.is_terminator``.
+_CLOSES = [for_byte(b).is_terminator for b in range(256)]

@@ -318,7 +318,7 @@ def _kind(op: Opcode) -> tuple[str, object]:
         return "memcopy", _MEMORY_COPIES[name]
     if name in _NAMED_KINDS:
         return name.lower(), None
-    if name in ("STOP", "RETURN", "REVERT") or op.is_invalid_class:
+    if op.halts and name != "SELFDESTRUCT":  # its effect lies outside the model
         return "halt", None
     return "opaque", None
 
@@ -328,8 +328,9 @@ def _kind(op: Opcode) -> tuple[str, object]:
 # interpreter each map the kinds to their own actions.  Arguments: the N of
 # dup and swap, the (WORD_OPS function, RULE_FORMS form or None) pair of
 # word, the threaded name of env and of calldatasize, and the (destination,
-# length) operand indices of memcopy.  halt is STOP, RETURN, REVERT and the
-# INVALID class; opaque is every effect outside the model: hashing, calls,
-# logs, SELFDESTRUCT.  The other kinds, push, pc, jumpdest, jump, jumpi,
-# pop, calldataload, mload, mstore, sload and sstore, take no argument.
+# length) operand indices of memcopy.  halt is every opcode that halts but
+# SELFDESTRUCT: STOP, RETURN, REVERT and the INVALID class.  opaque is every
+# effect outside the model: hashing, calls, logs, SELFDESTRUCT.  The other
+# kinds, push, pc, jumpdest, jump, jumpi, pop, calldataload, mload, mstore,
+# sload and sstore, take no argument.
 KINDS: list[tuple[str, object]] = [_kind(for_byte(b)) for b in range(256)]

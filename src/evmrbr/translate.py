@@ -176,7 +176,8 @@ def build_layout(cfg: Cfg) -> VarLayout:
 
 
 def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
-    """Translate one instruction, updating the stack cursor ``state.m``."""
+    """Translate one instruction at the stack cursor ``state.m``, then move
+    the cursor once by the opcode's stack effect, ``alpha - delta``."""
     op = instr.opcode
     m = state.m
     if m + 1 < op.delta:
@@ -187,13 +188,10 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
     kind, arg = _KINDS[op.code]
     if kind == "push":
         stmts.append(Assign(_s(m + 1), Num(instr.immediate)))
-        state.m += 1
     elif kind == "pc":
         stmts.append(Assign(_s(m + 1), Num(instr.offset)))
-        state.m += 1
     elif kind == "dup":
         stmts.append(Assign(_s(m + 1), Var(_s(m + 1 - arg))))
-        state.m += 1
     elif kind == "swap":
         stmts += [
             Assign(_s(m + 1), Var(_s(m))),
@@ -202,14 +200,10 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
         ]
     elif kind == "arith":
         stmts.append(Assign(_s(m - 1), BinOp(arg, Var(_s(m)), Var(_s(m - 1)))))
-        state.m -= 1
     elif kind == "functor" and arg == "not":
         stmts.append(Assign(_s(m), Not(Var(_s(m)))))
     elif kind == "functor":
         stmts.append(Assign(_s(m - 1), BitOp(arg, Var(_s(m)), Var(_s(m - 1)))))
-        state.m -= 1
-    elif kind == "pop":
-        state.m -= 1
     elif kind == "sload":
         key = popped[0]
         if key is not None and key <= layout.k:
@@ -228,14 +222,12 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
             stmts.append(Assign(f"g{key}", Var(_s(m - 1))))
         else:
             stmts += [Assign("gs1", Var(_s(m - 1))), Assign("gs2", Var(_s(m)))]
-        state.m -= 2
     elif kind == "mstore":
         addr = popped[0]
         if addr is not None and addr in layout.lmap:
             stmts.append(Assign(f"l{layout.lmap[addr]}", Var(_s(m - 1))))
         else:
             stmts += [Assign("ls1", Var(_s(m - 1))), Assign("ls2", Var(_s(m)))]
-        state.m -= 2
     elif kind == "calldataload":
         offset = popped[0]
         if offset is not None and offset in layout.md_offsets:
@@ -245,17 +237,13 @@ def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
             stmts.append(Assign(_s(m), state.fresh()))
     elif kind in ("env", "calldatasize"):
         stmts.append(Assign(_s(m + 1), Var(arg)))
-        state.m += 1
     elif kind == "memcopy":
         stmts += _havoc_memory(instr, popped, arg, state, layout)
-        state.m -= op.delta
     else:
-        # Opaque effect (none for JUMPDEST), or a comparison or ISZERO outside
-        # a guard window: consume the operands, produce unknown results.
-        state.m -= op.delta
-        for _ in range(op.alpha):
-            state.m += 1
-            stmts.append(Assign(_s(state.m), state.fresh()))
+        # Opaque effect (none for POP and JUMPDEST), or a comparison or ISZERO
+        # outside a guard window: consume the operands, produce unknown results.
+        stmts += [Assign(_s(m - op.delta + i), state.fresh()) for i in range(1, op.alpha + 1)]
+    state.m = m + op.alpha - op.delta
     return stmts
 
 

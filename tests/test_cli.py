@@ -151,6 +151,8 @@ def test_truncated_push_reads_zeros_and_warns_once(run, command):
         assert out == "block_0(g0) =>\n  s0 = 1,\n  s1 = 0,\n  g0 = s0\n"
     if command == "disasm":
         assert out.endswith("6: PUSH32 0x102" + "0" * 60 + "\n")
+    if command == "cfg":  # the summary counts the bytes present, not the padding
+        assert "block 6: pc=6 bytes=3 height=- halt dead\n" in out
 
 
 def test_cfg_summary(run):
@@ -158,6 +160,21 @@ def test_cfg_summary(run):
     assert code == 0
     assert "entry: 0" in out
     assert "block 0: pc=0 bytes=3 height=0 jump -> 3" in out
+
+
+_EMPTY_OUTCOMES = {
+    "disasm": (0, "\n", ""),
+    "cfg": (0, "entry: None\n", ""),
+    "rbr": (0, "", ""),
+    "saco": (0, "-- saco\n", ""),
+    "loops": (0, "loops: 0\n", ""),
+    "check": (2, "", "error: empty bytecode\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EMPTY_OUTCOMES))
+def test_empty_bytecode(run, command):
+    assert run(command, "-", stdin="") == _EMPTY_OUTCOMES[command]
 
 
 def test_cfg_dot(run):

@@ -12,7 +12,7 @@ from progen import gen_program
 
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
-from evmrbr.diff import _ENV_NAMES, DiffReport, _compare, _Names, differential_check
+from evmrbr.diff import _ENV_NAMES, DiffReport, _compare, differential_check
 from evmrbr.errors import EvmRbrError
 from evmrbr.evm_exec import MachineState
 from evmrbr.rbr import COMPLEMENT, Call, Guard, VarLayout
@@ -207,13 +207,18 @@ def test_calldata_buffer_is_made_once_per_check():
     assert peak < 24 << 20, peak
 
 
+def test_check_refuses_empty_bytecode():
+    with pytest.raises(EvmRbrError, match="^empty bytecode$"):
+        differential_check(b"")
+
+
 def test_compare_reports_each_quantity_and_the_first_missing_edge():
-    names = _Names(VarLayout(k=1, r=1, lmap={96: 0, 32: 1}))
+    layout = VarLayout(k=1, r=1, lmap={96: 0, 32: 1})
     evm = MachineState(storage={0: 5, 1: 6}, memory={32: 7, 96: 8})
     rbr = RbrState(bindings={"g0": 5, "g1": 4, "l0": 8, "l1": 9})
     report = DiffReport(n_cases=1)
     # 0 -> 4 is an edge, 4 -> 9 and 9 -> 4 are not
-    _compare(0, names, evm, [0, 4, 9, 4], rbr, [0, 4], {(0, 4), (4, 0)}, report)
+    _compare(0, layout, evm, [0, 4, 9, 4], rbr, [0, 4], {(0, 4), (4, 0)}, report)
     assert report.text() == (
         "case 0: g1 evm=6 rbr=4\n"
         "case 0: l1 evm=7 rbr=9\n"
@@ -222,6 +227,6 @@ def test_compare_reports_each_quantity_and_the_first_missing_edge():
         "divergences: 4/1\n"
     )
     agreed = DiffReport(n_cases=1)
-    _compare(0, names, evm, [0, 4, 0], RbrState(bindings={"g0": 5, "g1": 6, "l0": 8, "l1": 7}),
+    _compare(0, layout, evm, [0, 4, 0], RbrState(bindings={"g0": 5, "g1": 6, "l0": 8, "l1": 7}),
              [0, 4, 0], {(0, 4), (4, 0)}, agreed)
     assert agreed.text() == "divergences: 0/1\n"

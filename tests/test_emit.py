@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 
 from corpus import ADD_STORE, BITOPS, CORPUS
 from progen import gen_program
@@ -10,7 +11,7 @@ from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
 from evmrbr.emit import emit_rbr, export_saco
 from evmrbr.parse import parse_rbr
-from evmrbr.rbr import Assign, BitOp, Call, Rule, Var, VarLayout
+from evmrbr.rbr import Assign, BitOp, Call, Nop, Rule, Var, VarLayout
 from evmrbr.translate import translate_cfg
 
 BITOP_FUNCTOR = re.compile(r"\b(?:and|or|xor|not)\(")
@@ -50,13 +51,11 @@ def test_emit_header_tables():
     assert "-- md: md0 = calldata[0]" in text
 
 
-def test_emit_nops_flag_drops_markers():
+def test_emit_prints_markers_exactly_when_the_rules_carry_them():
     rules = rules_of(ADD_STORE, nops=True)
-    with_markers = emit_rbr(rules, nops=True)
-    without = emit_rbr(rules, nops=False)
-    assert "nop(PUSH1)" in with_markers
-    assert "nop(" not in without
-    assert without == emit_rbr(rules_of(ADD_STORE))
+    assert "nop(PUSH1)" in emit_rbr(rules)
+    stripped = [replace(r, body=[s for s in r.body if not isinstance(s, Nop)]) for r in rules]
+    assert emit_rbr(stripped) == emit_rbr(rules_of(ADD_STORE))
 
 
 def test_emitted_guard_and_call_layout():

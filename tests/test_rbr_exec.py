@@ -10,12 +10,12 @@ import pytest
 from corpus import ADD_STORE, CORPUS, COUNTER_LOOP, TWO_BLOCK_JUMP
 from progen import gen_program
 
+from evmrbr import decompile
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
 from evmrbr.diff import (
     _ENV_NAMES,
     INPUT_BOUND,
-    _Names,
     _draw_calldata,
     _initial_bindings,
     _make_calldata,
@@ -27,7 +27,7 @@ from evmrbr.errors import (
     UnboundVariable,
 )
 from evmrbr.parse import parse_rbr
-from evmrbr.rbr import Call, Rule, VarLayout
+from evmrbr.rbr import Call, Nop, Rule, VarLayout
 from evmrbr.rbr_exec import RbrState, index_rules, run_rbr
 from evmrbr.translate import translate_cfg
 
@@ -89,6 +89,28 @@ def test_no_applicable_rule_on_overlapping_guards():
         run_rbr(rules, {"s0": 5}, entry="block_0")
     assert err.value.applicable == 2
     assert str(err.value) == "2 guards of jump_1 applicable, expected exactly 1"
+
+
+def test_unguarded_rules_of_one_name_are_not_applicable():
+    rules = parse_rbr("block_0() =>\n  s0 = 1\n\nblock_0() =>\n  s0 = 2")
+    with pytest.raises(NoApplicableRule) as err:
+        run_rbr(rules, {})
+    assert str(err.value) == "0 guards of block_0 applicable, expected exactly 1"
+
+
+def test_unbound_fresh_guard_operand_is_drawn_once_for_the_pair():
+    text = (
+        "block_0(s0) =>\n  call(jump_0(s0))\n\n"
+        "jump_0(s0) =>\n  lt(s0, fresh_0) | call(block_1(s0))\n\n"
+        "jump_0(s0) =>\n  geq(s0, fresh_0) | call(block_2(s0))\n\n"
+        "block_1(s0) =>\n\nblock_2(s0) =>"
+    )
+    rules = parse_rbr(text)
+    middle = 1 << 63  # half of the 64-bit draws lie above it
+    for seed in range(16):
+        drawn = random.Random(seed).randrange(1 << 64)
+        _, trace = run_rbr(rules, {"s0": middle}, fresh_seed=seed)
+        assert trace == ["block_0", "jump_0", "block_1" if middle < drawn else "block_2"]
 
 
 def test_unbound_variable():
@@ -241,6 +263,21 @@ def test_product_past_the_bit_bound_is_an_error(a, b):
         _product(a, b)
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_nop_markers_change_no_run(name):
+    code = CORPUS[name]
+    plain, marked = decompile(code), decompile(code, nops=True)
+    assert any(isinstance(s, Nop) for rule in marked for s in rule.body)
+    layout = plain[0].layout
+    rng = random.Random(name)
+    calldata = _make_calldata(layout)
+    _draw_calldata(calldata, layout, rng)
+    env = {env_name: rng.randrange(INPUT_BOUND) for env_name in _ENV_NAMES}
+    storage = {i: rng.randrange(INPUT_BOUND) for i in range(layout.k + 1)}
+    init = _initial_bindings(layout, calldata, env, storage)
+    assert _run_text(marked, init, fresh_seed=5) == _run_text(plain, init, fresh_seed=5)
+
+
 def test_index_runs_like_the_rule_list():
     rules = rules_of(COUNTER_LOOP)
     index = index_rules(rules)
@@ -300,7 +337,7 @@ def _check_runs(code: bytes, n_cases: int, seed: int) -> str:
         env = {name: rng.randrange(INPUT_BOUND) for name in _ENV_NAMES}
         storage = {i: rng.randrange(INPUT_BOUND) for i in range(layout.k + 1)}
         fresh_seed = rng.randrange(1 << 30)
-        init = _initial_bindings(_Names(layout), calldata, env, storage)
+        init = _initial_bindings(layout, calldata, env, storage)
         runs.append(_run_text(index, init, entry=f"block_{cfg.entry}", fresh_seed=fresh_seed))
     return "\n".join(runs)
 
