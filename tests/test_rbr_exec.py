@@ -10,7 +10,6 @@ import pytest
 from corpus import ADD_STORE, CORPUS, COUNTER_LOOP, TWO_BLOCK_JUMP
 from progen import gen_program
 
-from evmrbr import decompile
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
 from evmrbr.diff import (
@@ -27,7 +26,7 @@ from evmrbr.errors import (
     UnboundVariable,
 )
 from evmrbr.parse import parse_rbr
-from evmrbr.rbr import Call, Nop, Rule, VarLayout
+from evmrbr.rbr import Call, Rule, VarLayout
 from evmrbr.rbr_exec import RbrState, index_rules, run_rbr
 from evmrbr.translate import translate_cfg
 
@@ -263,21 +262,6 @@ def test_product_past_the_bit_bound_is_an_error(a, b):
         _product(a, b)
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_nop_markers_change_no_run(name):
-    code = CORPUS[name]
-    plain, marked = decompile(code), decompile(code, nops=True)
-    assert any(isinstance(s, Nop) for rule in marked for s in rule.body)
-    layout = plain[0].layout
-    rng = random.Random(name)
-    calldata = _make_calldata(layout)
-    _draw_calldata(calldata, layout, rng)
-    env = {env_name: rng.randrange(INPUT_BOUND) for env_name in _ENV_NAMES}
-    storage = {i: rng.randrange(INPUT_BOUND) for i in range(layout.k + 1)}
-    init = _initial_bindings(layout, calldata, env, storage)
-    assert _run_text(marked, init, fresh_seed=5) == _run_text(plain, init, fresh_seed=5)
-
-
 def test_index_runs_like_the_rule_list():
     rules = rules_of(COUNTER_LOOP)
     index = index_rules(rules)
@@ -323,10 +307,11 @@ def _run_text(rules, init, **kwargs) -> str:
     return repr((trace, state.rule, sorted(state.bindings.items())))
 
 
-def _check_runs(code: bytes, n_cases: int, seed: int) -> str:
-    """The runs of ``differential_check(code, n_cases, seed)``, on its inputs."""
+def _check_runs(code: bytes, n_cases: int, seed: int, nops: bool = False) -> str:
+    """The runs of ``differential_check(code, n_cases, seed)``, on its inputs,
+    of the rules translated with or without ``nop`` markers."""
     cfg = resolve_cfg(split_blocks(disassemble(code)))
-    rules = translate_cfg(cfg)
+    rules = translate_cfg(cfg, nops=nops)
     layout = rules[0].layout
     index = index_rules(rules)
     rng = random.Random(seed)
@@ -370,6 +355,11 @@ _PINNED_PROGEN_RUNS = {
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_runs_are_pinned(name):
     assert _digest(_check_runs(CORPUS[name], 5, 17)) == _PINNED_CHECK_RUNS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_nop_markers_change_no_run(name):
+    assert _check_runs(CORPUS[name], 5, 17, nops=True) == _check_runs(CORPUS[name], 5, 17)
 
 
 @pytest.mark.parametrize("seed", sorted(_PINNED_PROGEN_RUNS))
