@@ -168,7 +168,8 @@ def _run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if args.command == "disasm":
-            print(format_listing(instrs))
+            if instrs:
+                print(format_listing(instrs))
             return 0
         blocks = split_blocks(instrs)
         cfg = resolve_cfg(blocks, clone_cap=args.clone_cap)

@@ -96,8 +96,9 @@ def differential_check(
     entry_rule = f"block_{cfg.entry}"
     pc_edges = _pc_edges(cfg)
     index = index_rules(rules)
+    # Rule name -> the pc of its block; a jump rule has none.
     block_pcs = {
-        name: rule_sort_key(name)[0] for name in index.groups if name.startswith("block_")
+        name: rule_sort_key(name)[0] for name in index.entries if name.startswith("block_")
     }
     # The cases need no block, CFG or Rule object: let this call's references go.
     del blocks, cfg, rules
@@ -128,7 +129,7 @@ def differential_check(
             continue
 
         report.executed_rules.update(rule_trace)
-        rule_pcs = [block_pcs[name] for name in rule_trace if name in block_pcs]
+        rule_pcs = [pc for pc in map(block_pcs.get, rule_trace) if pc is not None]
         _compare(case, layout, evm_state, evm_trace, rbr_state, rule_pcs, pc_edges, report)
     return report
 

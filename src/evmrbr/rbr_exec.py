@@ -108,26 +108,37 @@ class RuleIndex:
     Literals are kept in a constant pool after the variable slots and read
     by negative index, so every atom is a frame index.
 
-    ``groups`` maps each rule name to its rules, in program order, each as
-    ``(guard, body, callee, args)``.  A guard is ``(test, lhs, rhs)`` and an
-    assignment ``(target, op, lhs, rhs)``, where the target is a slot, an
-    atom is a frame index and ``op`` is None for a plain copy of ``lhs``.
-    ``args`` is the callee's argument names, one tuple shared by all calls
-    passing the same number of stack slots.  ``names`` holds the variable
-    of each slot, ``template`` a frame with every slot unbound, and
-    ``tails[n]`` the unbound run that clears the slots from ``n`` on.
+    ``steps`` holds one step per rule name, ``(name, need, rules, pair)``,
+    and ``entries`` maps each defined name to the index of its step.
+    ``rules`` are the name's rules in program order, each ``(guard, body,
+    callee, args, passed, tail, need)``.  A guard is ``(test, lhs, rhs)``
+    and an assignment ``(target, op, lhs, rhs)``, where the target is a
+    slot, an atom is a frame index and ``op`` is None for a plain copy of
+    ``lhs``.  ``callee`` is the index of the called step, or None at a
+    halt, so no step refers to another object.  ``args`` is the callee's
+    argument names, one tuple shared by all calls passing the same number
+    of stack slots, ``passed`` their number, and ``tail`` the unbound run
+    that clears the slots after them.  A rule's ``need`` is the length of
+    the frame prefix that its guard and body read before writing, and a
+    step's is the largest of its rules', so a run that holds that prefix
+    bound needs no per-read test.  ``pair`` is the two guards of a guarded
+    pair as one flat tuple, else None.  A step that is neither one
+    unguarded rule nor a guarded pair, and the step of a callee that no
+    rule defines (it has no rules), need more than the frame, so they
+    always take the tested path.  ``names`` holds the variable of each
+    slot and ``template`` a frame with every slot unbound.
     """
 
-    groups: dict[str, list[tuple]]
+    steps: tuple[tuple, ...]
+    entries: dict[str, int]
     names: tuple[str, ...]
     slots: dict[str, int]
     template: tuple
-    tails: dict[int, list]
 
 
 def index_rules(rules: list[Rule]) -> RuleIndex:
-    """Number the variables of ``rules`` and index the rules by name, with
-    guards and bodies as flat tuples over frame indices.
+    """Number the variables of ``rules`` and prepare one step per rule name,
+    with guards and bodies as flat tuples over frame indices.
 
     Raises EvmRbrError when the rules do not share one parameter list, or
     when that list and the passed stack slots name one variable twice.
@@ -135,6 +146,7 @@ def index_rules(rules: list[Rule]) -> RuleIndex:
     params: list[str] | None = None
     checked: set[int] = set()
     width = 0
+    entries: dict[str, int] = {}
     for rule in rules:
         if id(rule.layout) not in checked:
             these = rule.layout.param_names()
@@ -146,6 +158,8 @@ def index_rules(rules: list[Rule]) -> RuleIndex:
         call = rule.continuation
         if call is not None and call.stack_count > width:
             width = call.stack_count
+        if rule.name not in entries:
+            entries[rule.name] = len(entries)
     names = (params or []) + [f"s{i}" for i in range(width)]
     slots = {name: slot for slot, name in enumerate(names)}
     if len(slots) != len(names):
@@ -185,13 +199,19 @@ def index_rules(rules: list[Rule]) -> RuleIndex:
     # identity while ``rules`` keeps it alive.  A repeat names no new slot
     # or constant, so the numbering stays in first-seen order.
     converted: dict[int, tuple] = {}
-    shared_args: dict[int, tuple[str, ...]] = {}
+    # stack count -> the arguments of a call passing that many stack slots
+    # and its tail, which is filled once the frame size is known
+    calls: dict[int, tuple[tuple[str, ...], list]] = {}
     groups: dict[str, list[tuple]] = {}
+    undefined: dict[str, int] = {}
     for rule in rules:
         guard = rule.guard
+        need = 0  # one past the highest slot read before a write
         if guard is not None:
             guard = _RELATION_TESTS[guard.relation], index_of(guard.lhs), index_of(guard.rhs)
+            need = max(guard[1], guard[2], -1) + 1
         body = []
+        written = set()
         for stmt in rule.body:
             if stmt.__class__ is not Assign:
                 continue
@@ -199,19 +219,40 @@ def index_rules(rules: list[Rule]) -> RuleIndex:
             if step is None:
                 step = converted[id(stmt)] = assignment(stmt)
             body.append(step)
+            target, _, a, b = step
+            if a >= need and a not in written:
+                need = a + 1
+            if b is not None and b >= need and b not in written:
+                need = b + 1
+            written.add(target)
         call = rule.continuation
-        callee, args = None, ()
+        callee, args, tail = None, (), None
         if call is not None:
-            callee = call.target
-            args = shared_args.get(call.stack_count)
-            if args is None:
-                args = shared_args[call.stack_count] = tuple(rule.call_args(call))
-        groups.setdefault(rule.name, []).append((guard, tuple(body), callee, args))
+            callee = entries.get(call.target)
+            if callee is None:
+                callee = undefined.setdefault(call.target, len(entries) + len(undefined))
+            shared = calls.get(call.stack_count)
+            if shared is None:
+                shared = calls[call.stack_count] = (tuple(rule.call_args(call)), [])
+            args, tail = shared
+        rule_step = (guard, tuple(body), callee, args, len(args), tail, need)
+        groups.setdefault(rule.name, []).append(rule_step)
 
     size = len(names)
-    tails = {len(args): [UNBOUND] * (size - len(args)) for args in shared_args.values()}
+    for args, tail in calls.values():
+        tail += [UNBOUND] * (size - len(args))
+    steps = []
+    for name, group in groups.items():
+        first = group[0]
+        if len(group) == 1 and first[0] is None:
+            steps.append((name, first[6], group, None))
+        elif len(group) == 2 and first[0] is not None and group[1][0] is not None:
+            steps.append((name, max(first[6], group[1][6]), group, first[0] + group[1][0]))
+        else:
+            steps.append((name, size + 1, group, None))
+    steps += ((name, size + 1, [], None) for name in undefined)
     template = (UNBOUND,) * size + tuple(reversed(consts))
-    return RuleIndex(groups, tuple(names), slots, template, tails)
+    return RuleIndex(tuple(steps), entries, tuple(names), slots, template)
 
 
 def _read_unbound(slot: int, rule: str, frame: list, names: tuple, fresh: random.Random) -> int:
@@ -236,11 +277,15 @@ def run_rbr(
     caller running many inputs builds once.  ``init`` must bind every
     field/local/blockchain parameter of the entry rule (the entry takes no
     stack parameters).  The run keeps one frame: a call checks that the
-    slots it passes are bound and clears the rest.
+    slots it passes are bound and clears the rest.  A step whose ``need``
+    lies within the frame's bound prefix reads its slots untested; any
+    other step tests each read, drawing fresh values and raising
+    UnboundVariable there.
     """
     index = rules if isinstance(rules, RuleIndex) else index_rules(rules)
-    groups, names, slots, tails = index.groups, index.names, index.slots, index.tails
-    if entry not in groups:
+    steps, names, slots = index.steps, index.names, index.slots
+    at = index.entries.get(entry)
+    if at is None:
         raise EvmRbrError(f"no rule named {entry}")
 
     frame = list(index.template)
@@ -253,60 +298,72 @@ def run_rbr(
             unnamed[key] = value
         else:
             frame[slot] = value
-    bound = 0  # frame[:bound] holds no UNBOUND
+    # frame[:bound] holds no UNBOUND
+    bound = next((slot for slot in range(size) if frame[slot] is UNBOUND), size)
     fresh = random.Random(fresh_seed)
-    name = entry
     trace: list[str] = []
-    steps = 0
+    record = trace.append
+    count = 0
     while True:
-        steps += 1
-        if steps > step_limit:
+        count += 1
+        if count > step_limit:
             raise StepLimitExceeded(f"no halt within {step_limit} rule applications")
-        trace.append(name)
-        group = groups.get(name)
-        if group is None:
-            raise EvmRbrError(f"call to undefined rule {name}")
-        if len(group) == 1 and group[0][0] is None:
-            rule = group[0]
+        name, need, group, pair = steps[at]
+        record(name)
+        if need <= bound:
+            # Every slot read before a write is bound: no read needs a test.
+            if pair is None:
+                _, body, callee, args, passed, tail, _ = group[0]
+            else:
+                test, a, b, other, c, d = pair
+                taken = test(frame[a], frame[b])
+                if taken == other(frame[c], frame[d]):
+                    raise NoApplicableRule(name, 2 if taken else 0)
+                _, body, callee, args, passed, tail, _ = group[0 if taken else 1]
+            for target, op, a, b in body:
+                frame[target] = frame[a] if op is None else op(frame[a], frame[b])
         else:
-            applicable = []
-            for candidate in group:
-                if candidate[0] is None:
-                    continue
-                test, a, b = candidate[0]
+            if not group:
+                raise EvmRbrError(f"call to undefined rule {name}")
+            if len(group) == 1 and group[0][0] is None:
+                rule = group[0]
+            else:
+                applicable = []
+                for candidate in group:
+                    if candidate[0] is None:
+                        continue
+                    test, a, b = candidate[0]
+                    x = frame[a]
+                    if x is UNBOUND:
+                        x = _read_unbound(a, name, frame, names, fresh)
+                    y = frame[b]
+                    if y is UNBOUND:
+                        y = _read_unbound(b, name, frame, names, fresh)
+                    if test(x, y):
+                        applicable.append(candidate)
+                if len(applicable) != 1:
+                    raise NoApplicableRule(name, len(applicable))
+                rule = applicable[0]
+            _, body, callee, args, passed, tail, _ = rule
+            for target, op, a, b in body:
                 x = frame[a]
                 if x is UNBOUND:
                     x = _read_unbound(a, name, frame, names, fresh)
-                y = frame[b]
-                if y is UNBOUND:
-                    y = _read_unbound(b, name, frame, names, fresh)
-                if test(x, y):
-                    applicable.append(candidate)
-            if len(applicable) != 1:
-                raise NoApplicableRule(name, len(applicable))
-            rule = applicable[0]
-
-        _, body, callee, args = rule
-        for target, op, a, b in body:
-            x = frame[a]
-            if x is UNBOUND:
-                x = _read_unbound(a, name, frame, names, fresh)
-            if op is not None:
-                y = frame[b]
-                if y is UNBOUND:
-                    y = _read_unbound(b, name, frame, names, fresh)
-                x = op(x, y)
-            frame[target] = x
+                if op is not None:
+                    y = frame[b]
+                    if y is UNBOUND:
+                        y = _read_unbound(b, name, frame, names, fresh)
+                    x = op(x, y)
+                frame[target] = x
 
         if callee is None:
             bindings = {var: value for var, value in zip(names, frame) if value is not UNBOUND}
             if len(trace) == 1:
                 bindings = {**unnamed, **bindings}
             return RbrState(bindings=bindings, rule=name), trace
-        passed = len(args)
         if passed > bound and UNBOUND in frame[bound:passed]:
             unbound = next(arg for arg in args if frame[slots[arg]] is UNBOUND)
             raise UnboundVariable(unbound, name)
-        frame[passed:size] = tails[passed]
+        frame[passed:size] = tail
         bound = passed
-        name = callee
+        at = callee

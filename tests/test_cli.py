@@ -163,7 +163,7 @@ def test_cfg_summary(run):
 
 
 _EMPTY_OUTCOMES = {
-    "disasm": (0, "\n", ""),
+    "disasm": (0, "", ""),
     "cfg": (0, "entry: None\n", ""),
     "rbr": (0, "", ""),
     "saco": (0, "-- saco\n", ""),

@@ -20,7 +20,7 @@ from evmrbr.errors import (
     UnsupportedOpcode,
 )
 from evmrbr.evm_exec import run_evm
-from evmrbr.opcodes import JUMPDEST
+from evmrbr.opcodes import JUMPDEST, for_byte
 
 
 def test_add_store_program():
@@ -325,6 +325,18 @@ _FAULTS = {
         "6000600020", 3, "UnsupportedOpcode: opcode SHA3 is outside the interpreted subset"
     ),
     "overflow": ("6000" * 1025 + "00", 1025, "EvmFault: stack overflow"),
+    # A run entered with 1020 items: PUSH1 1 and ADD, four pushes, then the
+    # PUSH1 0 before an SSTORE takes the stack to 1025.
+    "overflow in a run entered near the bound": (
+        "6000" * 1020 + "5b" + "600101" + "6000" * 4 + "600055" + "00",
+        1028,
+        "EvmFault: stack overflow",
+    ),
+    # SSTORE 1 at key 0, then PUSH1 9, JUMP: offset 9 is a STOP
+    "constant jump after a store": ("600160005560095600" + "00", 5,
+                                    "EvmFault: invalid jump target 9"),
+    # PUSH1 5, JUMPI on an otherwise empty stack: the limit can stop between them
+    "split push and consumer": ("600557", 2, "EvmFault: stack underflow"),
 }
 
 
@@ -379,12 +391,12 @@ def _prepared_runs(code: bytes):
 
 
 def _expected_step(instrs, i):
-    """The step of instruction ``i``, written out from the opcode table."""
+    """The unfused step of instruction ``i``, written out from the opcode table."""
     pc, op, immediate = instrs[i]
     kind, arg, _ = evm_exec._STEPS[op.code]
     if kind == "pc":
         return ("push", None, pc)
-    if kind in ("push", "jumpdest", "stop", "return"):
+    if kind in ("push", "stop", "return"):
         return (kind, arg, pc if immediate is None else immediate)
     if kind == "jumpi":
         falls_to = i + 1 < len(instrs) and instrs[i + 1][1].code != JUMPDEST
@@ -396,28 +408,53 @@ def test_runs_start_at_the_block_leaders_and_cover_the_listing():
     for code in [*CORPUS.values(), *block_fuzz_codes()]:
         instrs = disassemble(code)
         runs, jumpdests = _prepared_runs(code)
-        assert all(runs), code.hex()
-        firsts = [sum(map(len, runs[:r])) for r in range(len(runs))]
+        counts = [count for _, count, _ in runs]
+        assert all(counts), code.hex()
+        firsts = [sum(counts[:r]) for r in range(len(runs))]
         starts = [instrs[first].offset for first in firsts]
         # Two leader rules, the oracle's run cut and the CFG's block split,
         # must agree.
         assert starts == [block.start_pc for block in split_blocks(instrs)], code.hex()
-        steps = [step for run in runs for step in run]
-        assert steps == [_expected_step(instrs, i) for i in range(len(instrs))], code.hex()
+        # A run opening with a JUMPDEST records its pc as the run's header.
+        headers = [header for header, _, _ in runs]
+        assert headers == [
+            instrs[first].offset if instrs[first].opcode.code == JUMPDEST else None
+            for first in firsts
+        ], code.hex()
+        for (header, count, run), first in zip(runs, firsts):
+            unfused = [step for fused in run for step in evm_exec._unfused(fused)]
+            body = range(first + (header is not None), first + count)
+            assert unfused == [_expected_step(instrs, i) for i in body], code.hex()
+            # Every PUSH or PC right before a consumer of a constant is fused
+            # into the consumer's step.
+            fusions = sum(
+                1
+                for i in body[1:]
+                if evm_exec._FUSES[instrs[i].opcode.code]
+                and evm_exec._STEPS[instrs[i - 1].opcode.code][0] in ("push", "pc")
+            )
+            assert len(run) == len(body) - fusions, code.hex()
         assert jumpdests == {
             offset: starts.index(offset) for offset, op, _ in instrs if op.code == JUMPDEST
         }, code.hex()
+
+
+def test_no_instruction_adds_more_than_one_stack_item():
+    # The loop tests the stack bound once per run, against the run's
+    # instruction count.
+    assert max(op.alpha - op.delta for op in map(for_byte, range(256))) == 1
 
 
 def test_steps_without_an_operand_are_shared():
     # 50 times (PUSH1 1, PUSH1 1, ADD), then PC at offset 250, PUSH1 1, STOP
     code = bytes.fromhex("6001600101" * 50 + "58" + "6001" + "00")
     runs, _ = _prepared_runs(code)
-    steps = [step for run in runs for step in run]
-    assert len(steps) == 153
-    # Every push of 1 is one tuple and every ADD another; the PC's push of
-    # 250 and the STOP at 253 are one tuple each.
+    steps = [step for _, _, run in runs for step in run]
+    assert len(steps) == 103
+    # Every push of 1 is one tuple and every PUSH1 1 fused with its ADD
+    # another; the PC's push of 250 and the STOP at 253 are one tuple each.
     assert len({id(step) for step in steps}) == 4
+    assert steps[1] == ("push op2", 1, evm_exec._STEPS[0x01])
     assert steps[-3:] == [("push", None, 250), ("push", None, 1), ("stop", None, 253)]
 
 

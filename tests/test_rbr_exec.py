@@ -186,6 +186,8 @@ def test_no_applicable_rule_names_the_rule():
         ("block_0() =>\n  call(block_1())\n\nblock_1() =>\n  s0 = s1", "s1", "block_1"),
         # the second operand of an operation
         ("block_0() =>\n  s0 = 1,\n  s1 = s0 + s2", "s2", "block_0"),
+        # read before the statement that writes it
+        ("block_0() =>\n  s0 = s1,\n  s1 = 2", "s1", "block_0"),
         # passed to a call without being bound
         ("block_0() =>\n  call(block_1(s0))\n\nblock_1(s0) =>\n  s1 = s0", "s0", "block_0"),
         # the same, by a rule that was called itself
@@ -271,12 +273,14 @@ def test_index_runs_like_the_rule_list():
 
 def test_index_shares_argument_tuples_by_stack_count():
     rules = rules_of(COUNTER_LOOP)
-    args_of = {}
-    for group in index_rules(rules).groups.values():
-        for _, _, callee, args in group:
+    shared = {}
+    for _, _, group, _ in index_rules(rules).steps:
+        for _, _, callee, args, passed, tail, _ in group:
             if callee is not None:
-                assert args_of.setdefault(len(args), args) is args
-    assert len(args_of) > 1
+                assert passed == len(args)
+                assert shared.setdefault(len(args), (args, tail)) == (args, tail)
+                assert shared[len(args)][0] is args and shared[len(args)][1] is tail
+    assert len(shared) > 1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -456,6 +460,24 @@ def test_unused_init_names_are_kept_until_the_first_call():
     calls = parse_rbr("block_0() =>\n  call(block_1())\n\nblock_1() =>\n  s0 = 1")
     state, _ = run_rbr(calls, {"zz": 5, "g9": 6})
     assert state.bindings == {"s0": 1}
+
+
+# The entry frame's bound prefix is g0 alone, or nothing: a read past it is
+# tested, and block_1 is entered with both slots bound.
+@pytest.mark.parametrize(
+    "text, init, outcome",
+    [
+        ("block_0(g0, g1) =>\n  g1 = g0", {"g1": 1},
+         "UnboundVariable: variable g0 read before assignment in block_0"),
+        ("block_0(g0, g1) =>\n  g0 = g1", {"g0": 1},
+         "UnboundVariable: variable g1 read before assignment in block_0"),
+        ("block_0(g0, g1) =>\n  g1 = g0,\n  call(block_1(g0, g1))\n\n"
+         "block_1(g0, g1) =>\n  g0 = g1 + 1", {"g0": 4},
+         repr((["block_0", "block_1"], "block_1", [("g0", 5), ("g1", 4)]))),
+    ],
+)
+def test_partial_init_is_read_with_tests(text, init, outcome):
+    assert _run_text(parse_rbr(text), init) == outcome
 
 
 def test_fresh_value_does_not_survive_a_call():
