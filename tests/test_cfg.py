@@ -727,3 +727,23 @@ def test_cfg_renderers_are_pinned(name):
     # Every mutant has the length of ``code``.
     text = "".join(emit_dot(cfg) + _cfg_summary(cfg, code) for cfg in cfgs)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == _PINNED_RENDERS[name]
+
+
+def _sweep_programs() -> list[bytes]:
+    """300 random byte strings of 1-200 bytes and 40 generated programs."""
+    rng = random.Random(7)
+    codes = [bytes(rng.randrange(256) for _ in range(rng.randint(1, 200))) for _ in range(300)]
+    return codes + [gen_program(random.Random(seed)) for seed in range(40)]
+
+
+# The digest of _cfg_digest over _sweep_programs, each resolved at clone caps
+# 1, 2 and 32, recorded before the resolver's simulation loop was
+# specialised by opcode kind.
+_PINNED_SWEEP = "e66fc24c5e9497b2"
+
+
+def test_resolver_sweep_is_pinned():
+    digests = [
+        _cfg_digest(cfg_of(code, clone_cap=cap)) for code in _sweep_programs() for cap in (1, 2, 32)
+    ]
+    assert hashlib.sha256("\n".join(digests).encode()).hexdigest()[:16] == _PINNED_SWEEP
