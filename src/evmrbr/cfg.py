@@ -16,11 +16,11 @@ addresses, storage keys and calldata offsets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .asm import Instruction
-from .opcodes import JUMPDEST, KINDS, for_byte
+from .opcodes import JUMPDEST, KINDS, Opcode, for_byte
 from .rbr import id_sort_key
 
 # Abstract value: a known 256-bit constant, or None for "anything".
@@ -78,6 +78,8 @@ class Block:
     A block is dead when no chain of resolved edges reaches it from the
     entry, or when its entry stack underflows.  A variant that a join left
     unreachable keeps its id, entry height and terminator, and is dead.
+    Terminators are immutable, and one terminator object may be shared by
+    several blocks.
     """
 
     id: str
@@ -122,7 +124,9 @@ def split_blocks(instrs: list[Instruction]) -> list[Block]:
 
     One pass: a block starts at offset 0, at every JUMPDEST and after every
     terminator, and these starts are the block leaders.  The concrete
-    oracle cuts its runs at the same leaders on its own.
+    oracle cuts its runs at the same leaders on its own.  Terminators are
+    immutable, so the blocks that end in a JUMP share one
+    ``Jump(UNRESOLVED)`` and the halting blocks one ``Halt()``.
     """
     blocks = []
     ends_block = _ENDS_BLOCK
@@ -133,7 +137,7 @@ def split_blocks(instrs: list[Instruction]) -> list[Block]:
             blocks.append(_make_block(group))
             group = []
         group.append(ins)
-        if ends_block[code]:
+        if ends_block[code] is not None:
             blocks.append(_make_block(group))
             group = []
     if group:
@@ -142,40 +146,67 @@ def split_blocks(instrs: list[Instruction]) -> list[Block]:
 
 
 def _make_block(group: list[Instruction]) -> Block:
-    start = group[0].offset
+    start = group[0][0]
     offset, op, _ = group[-1]
-    end_pc = offset + 1 + op.immediate_len
-    kind = _EFFECTS[op.code][0]
+    kind = _ENDS_BLOCK[op.code]
     term: Terminator
-    if kind == "jump":
-        term = Jump(UNRESOLVED)
-    elif kind == "jumpi":
-        term = JumpI(UNRESOLVED, str(end_pc))
-    elif _ENDS_BLOCK[op.code]:
-        term = Halt()
+    if kind is Jump:
+        term = _UNRESOLVED_JUMP
+    elif kind is Halt:
+        term = _HALT
     else:
-        term = FallThrough(str(end_pc))
-    return Block(id=str(start), start_pc=start, instrs=group, terminator=term)
+        end_pc = str(offset + 1 + op.immediate_len)
+        term = JumpI(UNRESOLVED, end_pc) if kind is JumpI else FallThrough(end_pc)
+    return Block(str(start), start, group, term)
 
 
-# Opcode byte -> abstract-stack kind, operand count and argument: the N of
-# DUPN/SWAPN, the fold function of a word operation, or for every opcode
-# the resolver does not track the tuple of unknowns it pushes.  This and
-# whether the opcode ends a block are built once, so the per-instruction
-# passes read no Opcode property.
-_EFFECTS = [
-    ("fold", op.delta, arg[0]) if kind == "word"
-    else (kind, op.delta, arg) if kind in ("push", "pc", "dup", "swap", "jump", "jumpi")
-    else ("opaque", op.delta, (None,) * op.alpha)
-    for op, (kind, arg) in zip(map(for_byte, range(256)), KINDS)
+_UNRESOLVED_JUMP = Jump(UNRESOLVED)
+_HALT = Halt()
+
+# Opcode byte -> the class of the terminator that ends its block (Jump,
+# JumpI or Halt), or None when the opcode does not end a block.
+_ENDS_BLOCK = [
+    Jump if kind == "jump" else JumpI if kind == "jumpi" else Halt if op.halts else None
+    for op, (kind, _) in zip(map(for_byte, range(256)), KINDS)
 ]
-_ENDS_BLOCK = [for_byte(b).is_terminator for b in range(256)]
+
+# The steps of _simulate, in the order it tests for them: PUSH, which it
+# knows by its immediate; a word operation of two operands, folded in place;
+# a sink, which pops its operands and pushes nothing; a map, which turns the
+# top item into an unknown; an environment read, which pushes an unknown;
+# DUPN; SWAPN; a word operation of one or three operands; PC; any other
+# opaque opcode; and JUMP or JUMPI, which end the run.  Opcodes the resolver
+# does not track are sorted by stack effect alone.
+_PUSH, _FOLD2, _SINK, _MAP, _READ, _DUP, _SWAP, _FOLD, _PC, _OPAQUE, _END = range(11)
+
+_TRACKED = {"push": _PUSH, "pc": _PC, "dup": _DUP, "swap": _SWAP, "jump": _END, "jumpi": _END}
+
+
+def _step(op: Opcode, kind: str, arg: object) -> tuple:
+    """(step, operand count, argument) of one opcode: the N of DUPN and
+    SWAPN, the fold function of a word operation, or the tuple of unknowns
+    an opaque opcode pushes."""
+    delta = op.delta
+    if kind == "word":
+        return (_FOLD2 if delta == 2 else _FOLD), delta, arg[0]
+    if kind in _TRACKED:
+        return _TRACKED[kind], delta, arg
+    if op.alpha == 0:
+        return _SINK, delta, None
+    if op.alpha == 1 and delta < 2:
+        return (_MAP if delta else _READ), delta, None
+    return _OPAQUE, delta, (None,) * op.alpha
+
+
+# Opcode byte -> its step, built once so that _simulate reads no Opcode
+# property.
+_STEPS = [_step(op, kind, arg) for op, (kind, arg) in zip(map(for_byte, range(256)), KINDS)]
 
 
 class _Variant:
     """One context-specialized copy of an original block."""
 
-    __slots__ = ("index", "entry", "consts", "cont", "succ", "reached")
+    __slots__ = ("index", "entry", "consts", "cont", "succ", "reached", "id")
 
     def __init__(self, index: int, entry: tuple[AbstractValue, ...]):
         self.index = index
@@ -193,6 +224,8 @@ class _Variant:
         self.succ: list[_Variant | None] | None = []
         # reached: a chain of resolved edges leads here from the entry.
         self.reached = False
+        # id: the block id, named once resolution ends.
+        self.id = ""
 
 
 def _join_stacks(
@@ -207,30 +240,60 @@ def _simulate(block: Block, entry: tuple[AbstractValue, ...]):
     Returns (consts per instruction, exit stack) or raises _Underflow.  The
     exit stack still contains the operands of a trailing JUMP/JUMPI; the
     caller pops them.
+
+    One loop over the block, testing for the steps of ``_STEPS`` in the
+    order of that table, most frequent first.  A PUSH, known by its
+    immediate, comes before the table lookup and the underflow test, which
+    it cannot fail; the popped operands (top of stack first) are read by
+    index when there are one or two; a two-operand fold and a map overwrite
+    the stack top in place.
     """
     stack = list(entry)
+    push = stack.append
     consts: list[tuple[AbstractValue, ...]] = []
-    effects = _EFFECTS
+    record = consts.append
+    steps = _STEPS
     for offset, op, immediate in block.instrs:
-        kind, delta, arg = effects[op.code]
-        if len(stack) < delta:
+        if immediate is not None:
+            # A PUSH, the one opcode with an immediate.
+            record(())
+            push(immediate)
+            continue
+        step, delta, arg = steps[op.code]
+        height = len(stack)
+        if height < delta:
             raise _Underflow(offset)
-        popped = tuple(stack[-1 : -delta - 1 : -1]) if delta else ()
-        consts.append(popped)
-        if kind == "push":
-            stack.append(immediate)
-        elif kind == "fold":
-            del stack[-delta:]
-            stack.append(None if None in popped else arg(*popped))
-        elif kind == "dup":
-            stack.append(stack[-arg])
-        elif kind == "swap":
+        if delta == 2:
+            popped = (stack[-1], stack[-2])
+        elif delta == 1:
+            popped = (stack[-1],)
+        elif delta:
+            popped = tuple(stack[-1 : -delta - 1 : -1])
+        else:
+            popped = ()
+        record(popped)
+        if step == _FOLD2:
+            a, b = popped
+            del stack[-1]
+            stack[-1] = None if a is None or b is None else arg(a, b)
+        elif step == _SINK:
+            del stack[height - delta :]
+        elif step == _MAP:
+            stack[-1] = None
+        elif step == _READ:
+            push(None)
+        elif step == _DUP:
+            push(stack[-arg])
+        elif step == _SWAP:
             stack[-1], stack[-1 - arg] = stack[-1 - arg], stack[-1]
-        elif kind == "opaque":
-            del stack[len(stack) - delta :]
+        elif step == _FOLD:
+            del stack[height - delta :]
+            push(None if None in popped else arg(*popped))
+        elif step == _PC:
+            push(offset)
+        elif step == _OPAQUE:
+            del stack[height - delta :]
             stack += arg
-        elif kind == "pc":
-            stack.append(offset)
         else:
             # JUMP/JUMPI: leave the operands for the caller; a terminator is last.
             break
@@ -275,6 +338,7 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = CLONE_CAP) -> Cfg:
         return Cfg(blocks={}, entry=None)
 
     by_pc = {b.start_pc: b for b in blocks}
+    jumpdests = {pc for pc, b in by_pc.items() if b.instrs[0][1].code == JUMPDEST}
     variants: dict[int, list[_Variant]] = {}
     # (variant, or the refused pc for a clone-cap record; reason), in the
     # order first found.
@@ -287,64 +351,74 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = CLONE_CAP) -> Cfg:
     matching: dict[tuple[int, int, tuple], _Variant] = {}
 
     def continuation(block: Block, entry: tuple) -> tuple:
-        """``_continuation`` once per (block, entry stack) of this call."""
-        key = (block.start_pc, entry)
-        found = simulated.get(key)
-        if found is None:
-            found = simulated[key] = _continuation(block, entry)
-        return found
-
-    def _continuation(block: Block, entry: tuple) -> tuple:
         """Simulate the block from ``entry``: (consts, the resolved
         continuation, the exit stack handed to successors).  An entry stack
-        that underflows gives no consts and a halt with its reason."""
+        that underflows gives no consts and a halt with its reason.  The
+        worklist keeps each result in ``simulated``."""
         try:
             consts, exit_stack = _simulate(block, entry)
         except _Underflow as uf:
             return None, (Halt, (), f"stack underflow at offset {uf.offset}"), ()
-        term = block.terminator
-        if isinstance(term, Jump):
-            target = exit_stack[-1] if exit_stack else None
-            reason = _check_jump_target(by_pc, target)
-            cont = (Halt, (), reason) if reason else (Jump, (target,), None)
-            return consts, cont, exit_stack[:-1]
-        if isinstance(term, JumpI):
-            target = exit_stack[-1] if exit_stack else None
+        kind = type(block.terminator)
+        if kind is JumpI:
             fall_pc = block.end_pc
             if fall_pc not in by_pc:
                 return consts, (Halt, (), "fall target off code end"), exit_stack[:-2]
-            reason = _check_jump_target(by_pc, target)
-            cont = (FallThrough, (fall_pc,), reason) if reason else (JumpI, (target, fall_pc), None)
-            return consts, cont, exit_stack[:-2]
-        if isinstance(term, FallThrough) and block.end_pc in by_pc:
+            target = exit_stack[-1] if exit_stack else None
+            if target in jumpdests:
+                return consts, (JumpI, (target, fall_pc), None), exit_stack[:-2]
+            return consts, (FallThrough, (fall_pc,), _target_fault(by_pc, target)), exit_stack[:-2]
+        if kind is Jump:
+            target = exit_stack[-1] if exit_stack else None
+            if target in jumpdests:
+                return consts, (Jump, (target,), None), exit_stack[:-1]
+            return consts, (Halt, (), _target_fault(by_pc, target)), exit_stack[:-1]
+        if kind is FallThrough and block.end_pc in by_pc:
             return consts, (FallThrough, (block.end_pc,), None), exit_stack
         # A halt, or running off the end of code (implicit STOP).
         return consts, (Halt, (), None), exit_stack
 
-    def process(pc: int, entry: tuple, pred: list[_Variant | None]) -> None:
-        block = by_pc[pc]
-        consts, cont, succ_stack = continuation(block, entry)
+    # The entry edge comes from no block.
+    entry_edge: list = []
+    work: deque = deque([(blocks[0].start_pc, (), entry_edge)])
+    take = work.popleft
+    queue = work.append
+    while work:
+        pc, entry, pred = take()
+        key = (pc, entry)
+        found = simulated.get(key)
+        if found is None:
+            found = simulated[key] = continuation(by_pc[pc], entry)
+        consts, cont, succ_stack = found
         sig = (pc, len(entry), cont)
         var = matching.get(sig)
         if var is not None:
             pred.append(var)
-            joined = _join_stacks(var.entry, entry)
             # A fault variant is never joined: its fault needs only the height.
-            if consts is None or joined == var.entry:
-                return
+            if consts is None or entry == var.entry:
+                continue
+            joined = _join_stacks(var.entry, entry)
+            if joined == var.entry:
+                continue
             var.entry = joined
-            consts, cont, succ_stack = continuation(block, joined)
+            key = (pc, joined)
+            found = simulated.get(key)
+            if found is None:
+                found = simulated[key] = continuation(by_pc[pc], joined)
+            consts, cont, succ_stack = found
             if cont != var.cont:
                 # Joining contexts lost the target; flag and cut the edge.
                 del matching[sig]
                 cont, succ_stack = (Halt, (), "target lost when joining contexts"), ()
         else:
-            vars_ = variants.setdefault(pc, [])
+            vars_ = variants.get(pc)
+            if vars_ is None:
+                vars_ = variants[pc] = []
             # A fault variant is dead code, so the clone cap does not count it.
-            if len(vars_) >= clone_cap and consts is not None:
+            elif len(vars_) >= clone_cap and consts is not None:
                 unresolved[(str(pc), f"clone cap {clone_cap} exceeded")] = None
                 pred.append(None)
-                return
+                continue
             var = matching[sig] = _Variant(len(vars_), entry)
             vars_.append(var)
             pred.append(var)
@@ -356,13 +430,7 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = CLONE_CAP) -> Cfg:
             unresolved[(var, reason)] = None
         var.succ = succ = []
         for target in pcs:
-            work.append((target, succ_stack, succ))
-
-    # The entry edge comes from no block.
-    entry_edge: list = []
-    work: deque = deque([(blocks[0].start_pc, (), entry_edge)])
-    while work:
-        process(*work.popleft())
+            queue((target, succ_stack, succ))
 
     # Mark the variants a chain of resolved edges reaches from the entry.
     entry_var = entry_edge[0]
@@ -376,64 +444,73 @@ def resolve_cfg(blocks: list[Block], clone_cap: int = CLONE_CAP) -> Cfg:
     return _build_cfg(by_pc, variants, unresolved, entry_var)
 
 
-def _check_jump_target(by_pc, target: AbstractValue) -> str | None:
+def _target_fault(by_pc, target: AbstractValue) -> str:
+    """Why a jump target that is not a JUMPDEST block start is refused."""
     if target is None:
         return "jump target unknown"
-    block = by_pc.get(target)
-    if block is None:
-        return f"jump target {target} is not a block start"
-    if block.instrs[0].opcode.code != JUMPDEST:
+    if target in by_pc:
         return f"jump target {target} is not a JUMPDEST"
-    return None
+    return f"jump target {target} is not a block start"
 
 
 def _build_cfg(by_pc, variants, unresolved, entry) -> Cfg:
     """Name the variants, read (and cut) their successor links, mark dead
     those not reached, and add a "dropped" record for each resolved edge
-    whose successor the clone cap refused."""
-    ids = {
-        var: str(pc) if len(vars_) == 1 else f"{pc}_c{var.index}"
-        for pc, vars_ in variants.items()
-        for var in vars_
-    }
+    whose successor the clone cap refused.
+
+    Ids first: a block's one variant is named by its pc, each of several by
+    its pc and index.  Then one pass over the pcs in order builds each
+    variant's terminator from its successors' ids and its Block, with
+    positional arguments, and a dead Block for each pc no context reached.
+    """
+    for pc, vars_ in variants.items():
+        if len(vars_) == 1:
+            vars_[0].id = str(pc)
+        else:
+            for var in vars_:
+                var.id = f"{pc}_c{var.index}"
 
     # Blocks in id_sort_key order: by pc, then variant index.
     blocks_out: dict[str, Block] = {}
     for pc in sorted(by_pc):
         src = by_pc[pc]
-        for var in variants.get(pc, []):
+        vars_ = variants.get(pc)
+        if vars_ is None:
+            blocks_out[src.id] = Block(
+                src.id, pc, list(src.instrs), _HALT, src.entry_height, True, src.const_operands
+            )
+            continue
+        for var in vars_:
             kind = var.cont[0]
-            targets = list(map(ids.get, var.succ))
+            targets = [None if succ is None else succ.id for succ in var.succ]
             # The variants of a loop link to each other; cutting the links
             # once read lets reference counting free them.
             var.succ = None
-            term: Terminator = Halt()
+            term: Terminator = _HALT
             if None not in targets:
-                term = kind(*targets)
+                term = kind(*targets) if targets else _HALT
             elif targets[-1] is not None:
                 # Only a branch can lose one edge and keep another.
                 unresolved[(var, "branch target dropped")] = None
                 term = FallThrough(targets[-1])
             else:
                 unresolved[(var, _DROPPED[kind])] = None
-            bid = ids[var]
             dead = var.consts is None or not var.reached
-            blocks_out[bid] = Block(
-                id=bid,
-                start_pc=pc,
-                instrs=list(src.instrs),
-                terminator=term,
-                entry_height=len(var.entry),
-                dead=dead,
-                # A copy: the simulation memo can hand one list to two variants.
-                const_operands=None if dead else list(var.consts),
+            # A copy of consts: the simulation memo can hand one list to two
+            # variants.
+            blocks_out[var.id] = Block(
+                var.id,
+                pc,
+                list(src.instrs),
+                term,
+                len(var.entry),
+                dead,
+                None if dead else list(var.consts),
             )
-        if pc not in variants:
-            blocks_out[src.id] = replace(src, instrs=list(src.instrs), terminator=Halt(), dead=True)
 
     # A clone-cap record already names its pc.
-    records = [(ids.get(key, key), reason) for key, reason in unresolved]
-    return Cfg(blocks=blocks_out, entry=ids[entry], unresolved=records)
+    records = [(key if type(key) is str else key.id, reason) for key, reason in unresolved]
+    return Cfg(blocks=blocks_out, entry=entry.id, unresolved=records)
 
 
 # The record of a resolved edge whose successor the clone cap refused.

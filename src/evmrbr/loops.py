@@ -41,17 +41,16 @@ def _tarjan(graph: dict[str, set[str]]) -> list[list[str]]:
     Roots are taken in graph order and successors in set order, which
     follows the hash seed, so the order of the components and of their
     members is left to the caller: ``detect_loops`` sorts both.  Successors
-    that are not nodes of the graph are left out.
+    that are not nodes of the graph are skipped as they are met.  A node
+    whose component is complete takes the index ``done``, above every index
+    given, so it never lowers a low link and no on-stack set is kept.
     """
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     sccs: list[list[str]] = []
     counter = 0
-
-    def succs_of(node: str):
-        return iter(graph[node] & graph.keys())
+    done = len(graph)
 
     for root in graph:
         if root in index:
@@ -59,35 +58,32 @@ def _tarjan(graph: dict[str, set[str]]) -> list[list[str]]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, succs_of(root))]
+        work = [(root, iter(graph[root]))]
         while work:
             node, succs = work[-1]
-            advanced = False
             for succ in succs:
-                if succ not in index:
+                if succ in index:
+                    if index[succ] < low[node]:
+                        low[node] = index[succ]
+                elif succ in graph:
                     index[succ] = low[succ] = counter
                     counter += 1
                     stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, succs_of(succ)))
-                    advanced = True
+                    work.append((succ, iter(graph[succ])))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        index[member] = done
+                        component.append(member)
+                        if member == node:
+                            break
+                    sccs.append(component)
     return sccs

@@ -57,8 +57,10 @@ def test_matches_brute_force_on_random_graphs():
     for _ in range(200):
         size = rng.randint(1, 10)
         names = [f"block_{i}" for i in range(size)]
+        # Successors may name rules outside the graph, which are skipped.
+        targets = names + [f"block_{i}" for i in range(size, size + 3)]
         graph = {
-            n: {m for m in names if rng.random() < 0.25} for n in names
+            n: {m for m in targets if rng.random() < 0.25} for n in names
         }
         from evmrbr.loops import _tarjan
 
@@ -68,6 +70,9 @@ def test_matches_brute_force_on_random_graphs():
             if len(c) > 1 or c[0] in graph.get(c[0], set())
         )
         assert tarjan_loops == sorted(sorted(m) for m in brute_force_loops(graph))
+        assert detect_loops(graph) == sorted(
+            brute_force_loops(graph), key=lambda members: int(members[0].split("_")[1])
+        )
 
 
 def test_self_loop_detected():
