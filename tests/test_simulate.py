@@ -54,25 +54,26 @@ _VALUES = st.one_of(st.none(), st.sampled_from([0, WORD]), st.integers(0, 40))
 _CODE = st.tuples(st.integers(0, 255), st.integers(0, WORD))
 _PUSH = st.tuples(st.integers(0x60, 0x7F), st.integers(0, WORD))
 
-# Where an opcode under test runs: the start offset, up to 17 PUSHes so that
-# it finds the operands it pops and up to two instructions of any byte value
-# before it, the value of its own immediate, and up to two instructions
-# after it.
+# Where an opcode under test runs: the start offset, up to 20 PUSHes (their
+# count drawn first, so that runs deep enough for DUP16 and SWAP16 come up)
+# and up to two instructions of any byte value before it, the value of its
+# own immediate, and up to two instructions after it.
 _CONTEXTS = st.tuples(
     st.integers(0, 64),
-    st.tuples(st.lists(_PUSH, max_size=17), st.lists(_CODE, max_size=2)).map(lambda t: t[0] + t[1]),
+    st.integers(0, 20).flatmap(lambda n: st.lists(_PUSH, min_size=n, max_size=n)),
+    st.lists(_CODE, max_size=2),
     st.integers(0, WORD),
     st.lists(_CODE, max_size=2),
 )
 
 
 def _block(context, byte: int) -> Block:
-    offset, before, value, after = context
+    offset, pushes, before, value, after = context
     instrs = []
-    for code, value in [*before, (byte, value), *after]:
+    for code, raw in [*pushes, *before, (byte, value), *after]:
         op = for_byte(code)
         width = op.immediate_len
-        instrs.append(Instruction(offset, op, value % (1 << 8 * width) if width else None))
+        instrs.append(Instruction(offset, op, raw % (1 << 8 * width) if width else None))
         offset += 1 + width
     return Block(str(instrs[0].offset), instrs[0].offset, instrs, Halt())
 
