@@ -10,7 +10,7 @@ import pytest
 from corpus import ADD_STORE, CORPUS
 from helpers import definite_assignment_ok
 from progen import Asm, gen_program
-from test_cfg import _RESOLVER_PROGRAMS, _pinned_resolves
+from test_cfg import _RESOLVER_PROGRAMS, _pinned_resolves, _sweep_programs
 
 from evmrbr.asm import Instruction, disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
@@ -649,6 +649,33 @@ _PINNED_PLAIN_EMISSIONS = {
 def test_plain_emission_is_pinned(name):
     cfgs = _pinned_resolves(name, _TRANSLATED_PROGRAMS[name])
     assert _plain_emission_digest(cfgs) == _PINNED_PLAIN_EMISSIONS[name]
+
+
+def _rule_sweep_parts(code: bytes, cap: int) -> list[str]:
+    """The nop-marked and plain rule texts and the SACO export of ``code``
+    resolved at clone cap ``cap``, or the error its translation raised."""
+    cfg = resolve_cfg(split_blocks(disassemble(code)), cap)
+    try:
+        return [
+            emit_rbr(translate_cfg(cfg, nops=True)),
+            emit_rbr(translate_cfg(cfg)),
+            export_saco(translate_cfg(cfg)),
+        ]
+    except EvmRbrError as err:
+        return [f"error {type(err).__name__}: {err}"]
+
+
+# The digest of _rule_sweep_parts over test_cfg._sweep_programs and one
+# 25 KB generated program, each at clone caps 1, 2 and 32, recorded before
+# the translation loop read popped constants by position and the SACO export
+# forgot statements while printing.
+_PINNED_RULE_SWEEP = "9c3b7de79f449613"
+
+
+def test_rule_sweep_is_pinned():
+    programs = [*_sweep_programs(), gen_program(random.Random(1), segments=1200)]
+    parts = [part for code in programs for cap in (1, 2, 32) for part in _rule_sweep_parts(code, cap)]
+    assert hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16] == _PINNED_RULE_SWEEP
 
 
 # --- statements shared within one translation --------------------------------
