@@ -9,8 +9,6 @@ text can be mapped back to the bytecode-level layout.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .rbr import (
     Assign,
     BinOp,
@@ -54,17 +52,23 @@ def format_guard(guard: Guard) -> str:
 
 
 class _Printer:
-    """Renders the rules of one ``emit_rbr`` call, printing each distinct
-    argument list and statement once.
+    """Renders the rules of one ``emit_rbr`` or ``export_saco`` call,
+    printing each distinct argument list and statement once.
 
     An argument list is keyed by (layout, stack count).  Statements are
     keyed by identity: one ``translate_cfg`` call builds equal statements
     as one object, and the rules keep every key alive while the call runs.
+    ``format`` prints every statement; ``format_forgetting`` prints for the
+    SACO export, and its line memo holds None for a statement the export
+    forgets: a ``nop`` marker, which it drops, or an assignment of a bit
+    operation, which it replaces per occurrence by ``<target> = fresh_<n>``,
+    numbered on from the rule's own counter (``_fresh_count``).
     """
 
     def __init__(self):
         self.arg_lists: dict[tuple[int, int], str] = {}
-        self.lines: dict[int, str] = {}
+        self.lines: dict[int, str | None] = {}
+        self.highest: dict[int, int] = {}
 
     def _args(self, rule: Rule, count: int) -> str:
         key = (id(rule.layout), count)
@@ -77,7 +81,10 @@ class _Printer:
         return f"call({call.target}({self._args(rule, call.stack_count)}))"
 
     def format(self, rule: Rule) -> str:
-        head = f"{rule.name}({self._args(rule, rule.stack_params)}) =>"
+        args = self.arg_lists.get((id(rule.layout), rule.stack_params))
+        if args is None:
+            args = self._args(rule, rule.stack_params)
+        head = f"{rule.name}({args}) =>"
         if rule.guard is not None:
             assert rule.continuation is not None, "guarded rule without continuation"
             return f"{head}\n  {format_guard(rule.guard)} | {self._call(rule, rule.continuation)}"
@@ -87,6 +94,36 @@ class _Printer:
             line = lines.get(id(stmt))
             if line is None:
                 line = lines[id(stmt)] = "  " + format_statement(stmt)
+            items.append(line)
+        call = rule.continuation
+        if call is not None:
+            args = self.arg_lists.get((id(rule.layout), call.stack_count))
+            if args is None:
+                args = self._args(rule, call.stack_count)
+            items.append(f"  call({call.target}({args}))")
+        if not items:
+            return head
+        return head + "\n" + ",\n".join(items)
+
+    def format_forgetting(self, rule: Rule) -> str:
+        if rule.guard is not None:
+            return self.format(rule)
+        head = f"{rule.name}({self._args(rule, rule.stack_params)}) =>"
+        lines = self.lines
+        items = []
+        counter = None
+        for stmt in rule.body:
+            line = lines.get(id(stmt), False)
+            if line is False:
+                forgotten = isinstance(stmt, Nop) or isinstance(stmt.value, (BitOp, Not))
+                line = lines[id(stmt)] = None if forgotten else "  " + format_statement(stmt)
+            if line is None:
+                if isinstance(stmt, Nop):
+                    continue
+                if counter is None:
+                    counter = _fresh_count(rule.body, self.highest)
+                line = f"  {stmt.target} = fresh_{counter}"
+                counter += 1
             items.append(line)
         if rule.continuation is not None:
             items.append("  " + self._call(rule, rule.continuation))
@@ -115,17 +152,20 @@ def _header(rules: list[Rule]) -> list[str]:
 def emit_rbr(rules: list[Rule]) -> str:
     """Render rules in ascending name order, byte-identical across runs,
     with a ``nop`` marker exactly where ``translate_cfg(nops=True)`` left one."""
+    return _render(rules, _Printer().format)
+
+
+def _render(rules: list[Rule], format_rule) -> str:
     ordered = sorted(rules, key=lambda r: rule_sort_key(r.name))
     header = _header(rules)
     chunks = ["\n".join(header)] if header else []
-    printer = _Printer()
-    chunks += [printer.format(r) for r in ordered]
+    chunks += [format_rule(r) for r in ordered]
     return "\n\n".join(chunks) + "\n" if chunks else ""
 
 
 def _fresh_count(body: list[Statement], highest: dict[int, int]) -> int:
     """``Rule.fresh_count`` of ``body``; ``highest`` caches each statement's
-    highest ``fresh_*`` index by identity, as ``emit_rbr`` keys its lines."""
+    highest ``fresh_*`` index by identity, as ``_Printer`` keys its lines."""
     count = 0
     for stmt in body:
         index = highest.get(id(stmt))
@@ -140,28 +180,10 @@ def export_saco(rules: list[Rule]) -> str:
     """Render rules with every bit-operation forgotten.
 
     Statements whose expression involves ``and``/``or``/``xor``/``not`` are
-    replaced by assignments from new fresh variables (indices continuing
-    each rule's own counter); ``nop`` markers are dropped.  Each distinct
-    statement is scanned for ``fresh_*`` once, each replacement is built
-    once, and a rule left unchanged is not copied.
+    printed as assignments from new fresh variables (indices continuing
+    each rule's own counter); ``nop`` markers are dropped.  The rules are
+    printed as they are, with no rewritten copy: each distinct statement is
+    classified and printed once, and scanned for ``fresh_*`` once, when a
+    rule that holds it first forgets a statement.
     """
-    highest: dict[int, int] = {}
-    forgotten: dict[tuple[str, int], Assign] = {}
-    rewritten = []
-    for rule in rules:
-        counter = None
-        body: list[Statement] = []
-        for stmt in rule.body:
-            if isinstance(stmt, Nop):
-                continue
-            if isinstance(stmt.value, (BitOp, Not)):
-                if counter is None:
-                    counter = _fresh_count(rule.body, highest)
-                key = (stmt.target, counter)
-                stmt = forgotten.get(key)
-                if stmt is None:
-                    stmt = forgotten[key] = Assign(key[0], Var(f"fresh_{counter}"))
-                counter += 1
-            body.append(stmt)
-        rewritten.append(rule if body == rule.body else replace(rule, body=body))
-    return "-- saco\n" + emit_rbr(rewritten)
+    return "-- saco\n" + _render(rules, _Printer().format_forgetting)

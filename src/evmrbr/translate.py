@@ -72,23 +72,25 @@ FIELD_KEY_BOUND = 256
 # Opcode byte -> (kind, argument) of the translation: the table's, except
 # that a word operation takes its rule form, or is opaque without one.
 _KINDS = [(arg[1] or ("opaque", None)) if kind == "word" else (kind, arg) for kind, arg in KINDS]
-# Opcode bytes whose statements depend on nothing but the opcode, the stack
-# top and the immediate: no popped constant, layout, offset or fresh draw.
-# One translation call builds them once per such key and shares them.
-_SHAREABLE = frozenset(
-    code
-    for code, (kind, _) in enumerate(_KINDS)
-    if kind in ("push", "dup", "swap", "pop", "jumpdest", "env", "calldatasize", "arith", "functor")
-)
-# Opcode bytes whose statements depend on the opcode, the stack top and the
-# resolver's constant for the first popped operand (the storage key, memory
-# address or calldata offset), unless they draw a fresh variable.  One
-# translation call shares them per such key when they draw none.
-_SHARED_BY_OPERAND = frozenset(
-    code
-    for code, (kind, _) in enumerate(_KINDS)
-    if kind in ("sload", "sstore", "mload", "mstore", "calldataload")
-)
+# Opcode byte -> how one translation call shares its statements: 0, built
+# per occurrence; 1, once per (opcode, stack top, immediate), for statements
+# that depend on nothing else (no popped constant, layout, offset or fresh
+# draw); 2, once per (opcode, stack top, the resolver's constant for the first
+# popped operand: the storage key, memory address or calldata offset), unless
+# they draw a fresh variable.
+_SHARING = [
+    1 if kind in ("push", "dup", "swap", "pop", "jumpdest", "env", "calldatasize", "arith", "functor")
+    else 2 if kind in ("sload", "sstore", "mload", "mstore", "calldataload")
+    else 0
+    for kind, _ in _KINDS
+]
+# Opcode byte -> the variable family its instruction adds to the layout, or
+# None: memory addresses, storage keys, calldata offsets, or named reads.
+_FAMILIES = [
+    {"mstore": "l", "mload": "l", "sstore": "g", "sload": "g", "calldataload": "md",
+     "env": "named", "calldatasize": "named"}.get(kind)
+    for kind, _ in _KINDS
+]
 # Opcode byte -> its nop marker, shared by every rule that leaves one.
 _NOPS = [Nop(for_byte(code).mnemonic) for code in range(256)]
 # The terminators whose first successor is the target their JUMP or JUMPI
@@ -106,7 +108,8 @@ class TranslationState:
     """Mutable cursor while translating one rule.
 
     ``m`` is the index of the stack top (-1 = empty).  ``consts`` holds the
-    resolver's per-offset constant views of popped operands.
+    resolver's per-offset constant views of popped operands; only the public
+    ``tau`` reads it.
     """
 
     m: int
@@ -142,23 +145,26 @@ def build_layout(cfg: Cfg) -> VarLayout:
     named: set[str] = set()
     for block in cfg.live_blocks():
         for ins, popped in zip(block.instrs, block.const_operands or []):
-            kind, arg = _KINDS[ins.opcode.code]
-            if kind in ("mstore", "mload"):
+            family = _FAMILIES[ins.opcode.code]
+            if family is None:
+                continue
+            if family == "l":
                 addr = popped[0]
                 if addr is not None and addr not in lmap:
                     lmap[addr] = len(lmap)
-            elif kind in ("sstore", "sload"):
+            elif family == "g":
                 key = popped[0]
                 if key is not None:
                     if key < FIELD_KEY_BOUND:
-                        k = max(k, key)
+                        if key > k:
+                            k = key
                     else:
                         wide_keys.add(key)
-            elif kind == "calldataload":
+            elif family == "md":
                 if popped[0] is not None:
                     md.add(popped[0])
-            elif kind in ("env", "calldatasize"):
-                named.add(arg)
+            else:
+                named.add(_KINDS[ins.opcode.code][1])
     if wide_keys:
         log.warning(
             "%d constant storage key(s) at or above %d translated as non-constant",
@@ -178,11 +184,16 @@ def build_layout(cfg: Cfg) -> VarLayout:
 def tau(instr, state: TranslationState, layout: VarLayout) -> list[Statement]:
     """Translate one instruction at the stack cursor ``state.m``, then move
     the cursor once by the opcode's stack effect, ``alpha - delta``."""
+    popped = state.consts.get(instr.offset, (None,) * instr.opcode.delta)
+    return _tau(instr, popped, state, layout)
+
+
+def _tau(instr, popped: tuple, state: TranslationState, layout: VarLayout) -> list[Statement]:
+    """``tau`` with the constant views of the popped operands given."""
     op = instr.opcode
     m = state.m
     if m + 1 < op.delta:
         raise StackUnderflow(state.block_id, instr.offset)
-    popped = state.consts.get(instr.offset, (None,) * op.delta)
 
     stmts: list[Statement] = [_NOPS[op.code]] if state.nops else []
     kind, arg = _KINDS[op.code]
@@ -305,24 +316,17 @@ def translate_block(block: Block, layout: VarLayout, *, nops: bool = False) -> l
 def _translate_block(
     block: Block, layout: VarLayout, nops: bool, shared: dict[tuple, tuple[list[Statement], int]]
 ) -> list[Rule]:
-    """``translate_block`` that takes the statements of a ``_SHAREABLE``
-    instruction from ``shared``, keyed by (opcode byte, stack top,
-    immediate), and those of a ``_SHARED_BY_OPERAND`` one keyed by (opcode
-    byte, stack top, constant first operand), and stores them there on a
-    miss that drew no fresh variable; ``shared`` serves one ``nops``
-    setting.  A hit needs no underflow check: an equal stack top passed it
-    when the entry was stored."""
+    """``translate_block`` that takes the statements of an instruction that
+    ``_SHARING`` marks from ``shared``, keyed by (opcode byte, stack top,
+    immediate) or (opcode byte, stack top, constant first operand), and
+    stores them there on a miss that drew no fresh variable; ``shared``
+    serves one ``nops`` setting.  The constant operands of each instruction
+    come from ``block.const_operands`` by position.  A hit needs no
+    underflow check: an equal stack top passed it when the entry was
+    stored."""
     if block.entry_height is None:
         raise ValueError(f"block {block.id} has no entry height (dead?)")
-    state = TranslationState(
-        m=block.entry_height - 1,
-        block_id=block.id,
-        nops=nops,
-        consts={
-            ins.offset: ops
-            for ins, ops in zip(block.instrs, block.const_operands or [])
-        },
-    )
+    state = TranslationState(m=block.entry_height - 1, block_id=block.id, nops=nops)
     instrs = block.instrs
     succ = successors(block.terminator)
     name = f"block_{block.id}"
@@ -347,26 +351,36 @@ def _translate_block(
                 window, end = instrs[start:end], start
         else:
             carried = True
+    consts = block.const_operands or ()
+    if len(consts) < end:  # a block built by hand: operands not given are unknown
+        consts = [*consts, *((None,) * ins.opcode.delta for ins in instrs[len(consts):end])]
     body: list[Statement] = []
-    for ins in instrs[:end]:
+    m = state.m
+    for ins, popped in zip(instrs[:end], consts):
         code = ins.opcode.code
-        if code in _SHAREABLE:
-            key = (code, state.m, ins.immediate)
-        elif code in _SHARED_BY_OPERAND:
-            key = (code, state.m, state.consts.get(ins.offset, (None,))[0])
+        sharing = _SHARING[code]
+        if sharing == 1:
+            key = (code, m, ins.immediate)
+        elif sharing:
+            key = (code, m, popped[0])
         else:
-            body.extend(tau(ins, state, layout))
+            state.m = m
+            body.extend(_tau(ins, popped, state, layout))
+            m = state.m
             continue
         hit = shared.get(key)
         if hit is None:
+            state.m = m
             drawn = state.fresh_counter
-            stmts = tau(ins, state, layout)
+            stmts = _tau(ins, popped, state, layout)
             if state.fresh_counter != drawn:
                 body.extend(stmts)  # a fresh draw belongs to this rule alone
+                m = state.m
                 continue
             hit = shared[key] = (stmts, state.m)
         body.extend(hit[0])
-        state.m = hit[1]
+        m = hit[1]
+    state.m = m
     if carried:
         state.m -= 1  # drop the target
     if nops:
@@ -418,7 +432,7 @@ def call_graph(cfg: Cfg) -> dict[str, set[str]]:
 
 def translate_cfg(cfg: Cfg, *, nops: bool = False) -> list[Rule]:
     """Translate every live block, sharing one variable layout and one
-    statement memo (see ``_SHAREABLE`` and ``_SHARED_BY_OPERAND``)."""
+    statement memo (see ``_SHARING``)."""
     layout = build_layout(cfg)
     shared: dict[tuple, tuple[list[Statement], int]] = {}
     rules: list[Rule] = []

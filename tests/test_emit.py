@@ -4,14 +4,17 @@ import random
 import re
 from dataclasses import replace
 
+import pytest
+
 from corpus import ADD_STORE, BITOPS, CORPUS
 from progen import gen_program
+from test_cfg import _sweep_programs
 
 from evmrbr.asm import disassemble
 from evmrbr.cfg import resolve_cfg, split_blocks
 from evmrbr.emit import emit_rbr, export_saco
 from evmrbr.parse import parse_rbr
-from evmrbr.rbr import Assign, BitOp, Call, Nop, Rule, Var, VarLayout
+from evmrbr.rbr import Assign, BitOp, Call, Nop, Not, Rule, Var, VarLayout
 from evmrbr.translate import translate_cfg
 
 BITOP_FUNCTOR = re.compile(r"\b(?:and|or|xor|not)\(")
@@ -144,3 +147,31 @@ def test_saco_keeps_arithmetic():
 
 def test_empty_rules_emit_empty_text():
     assert emit_rbr([]) == ""
+
+
+# --- the export against a rewrite of the rules --------------------------------
+
+def _rewritten_saco(rules) -> str:
+    """The SACO export by its definition: drop the ``nop`` markers, replace
+    each bit-operation assignment by one from a new fresh variable numbered
+    on from the rule's counter, then emit the rewritten rules."""
+    rewritten = []
+    for rule in rules:
+        counter = rule.fresh_count()
+        body = []
+        for stmt in rule.body:
+            if isinstance(stmt, Nop):
+                continue
+            if isinstance(stmt.value, (BitOp, Not)):
+                stmt = Assign(stmt.target, Var(f"fresh_{counter}"))
+                counter += 1
+            body.append(stmt)
+        rewritten.append(replace(rule, body=body))
+    return "-- saco\n" + emit_rbr(rewritten)
+
+
+@pytest.mark.parametrize("nops", [False, True])
+def test_saco_export_matches_the_rewrite(nops):
+    for code in [*CORPUS.values(), *_sweep_programs()]:
+        rules = rules_of(code, nops=nops)
+        assert export_saco(rules) == _rewritten_saco(rules)

@@ -692,6 +692,19 @@ def test_translate_cfg_equals_translate_block_per_block(nops):
         assert translate_cfg(cfg, nops=nops) == per_block
 
 
+def test_translate_block_reads_operands_it_is_not_given_as_unknown():
+    # ADD_STORE stores at the constant key 0; without its operands the
+    # SSTORE translates as one at a non-constant key.
+    cfg = cfg_of(ADD_STORE)
+    layout = build_layout(cfg)
+    block = cfg.live_blocks()[0]
+    unknown = [(None,) * ins.opcode.delta for ins in block.instrs]
+    expected = translate_block(replace(block, const_operands=unknown), layout)
+    assert expected != translate_block(block, layout)
+    assert translate_block(replace(block, const_operands=None), layout) == expected
+    assert translate_block(replace(block, const_operands=unknown[:2]), layout) == expected
+
+
 def _twice_through_a_jump(body) -> bytes:
     """``body`` on the empty stack, POPs back to it, a jump, and ``body``
     again on the empty stack: two rules whose bodies start equal."""
