@@ -16,11 +16,10 @@ addresses, storage keys and calldata offsets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .asm import Instruction
-from .opcodes import JUMPDEST, KINDS, Opcode, for_byte
+from .opcodes import JUMPDEST, KINDS, Opcode, Record, Value, for_byte
 from .rbr import id_sort_key
 
 # Abstract value: a known 256-bit constant, or None for "anything".
@@ -32,25 +31,30 @@ UNRESOLVED = "?"
 CLONE_CAP = 32
 
 
-@dataclass(frozen=True)
-class Jump:
-    target: str
+class Jump(Value):
+    __slots__ = __match_args__ = ("target",)
+
+    def __init__(self, target: str):
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class JumpI:
-    taken: str
-    fallthrough: str
+class JumpI(Value):
+    __slots__ = __match_args__ = ("taken", "fallthrough")
+
+    def __init__(self, taken: str, fallthrough: str):
+        object.__setattr__(self, "taken", taken)
+        object.__setattr__(self, "fallthrough", fallthrough)
 
 
-@dataclass(frozen=True)
-class FallThrough:
-    target: str
+class FallThrough(Value):
+    __slots__ = __match_args__ = ("target",)
+
+    def __init__(self, target: str):
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Halt:
-    pass
+class Halt(Value):
+    __slots__ = ()
 
 
 Terminator = Union[Jump, JumpI, FallThrough, Halt]
@@ -65,8 +69,7 @@ def successors(term: Terminator) -> tuple[str, ...]:
     return ()
 
 
-@dataclass
-class Block:
+class Block(Record):
     """A maximal straight-line instruction sequence.
 
     ``entry_height`` is the stack height on entry, known only after
@@ -82,13 +85,27 @@ class Block:
     several blocks.
     """
 
-    id: str
-    start_pc: int
-    instrs: list[Instruction]
-    terminator: Terminator
-    entry_height: int | None = None
-    dead: bool = False
-    const_operands: list[tuple[AbstractValue, ...]] | None = None
+    __slots__ = __match_args__ = (
+        "id", "start_pc", "instrs", "terminator", "entry_height", "dead", "const_operands"
+    )
+
+    def __init__(
+        self,
+        id: str,
+        start_pc: int,
+        instrs: list[Instruction],
+        terminator: Terminator,
+        entry_height: int | None = None,
+        dead: bool = False,
+        const_operands: list[tuple[AbstractValue, ...]] | None = None,
+    ):
+        self.id = id
+        self.start_pc = start_pc
+        self.instrs = instrs
+        self.terminator = terminator
+        self.entry_height = entry_height
+        self.dead = dead
+        self.const_operands = const_operands
 
     @property
     def end_pc(self) -> int:
@@ -97,8 +114,7 @@ class Block:
         return offset + 1 + op.immediate_len
 
 
-@dataclass
-class Cfg:
+class Cfg(Record):
     """Resolved blocks by id, the entry id, and the unresolved jumps.
 
     ``blocks`` is in ``id_sort_key`` order (by pc, then variant index), as
@@ -110,9 +126,17 @@ class Cfg:
     onwards.
     """
 
-    blocks: dict[str, Block]
-    entry: str | None
-    unresolved: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = __match_args__ = ("blocks", "entry", "unresolved")
+
+    def __init__(
+        self,
+        blocks: dict[str, Block],
+        entry: str | None,
+        unresolved: list[tuple[str, str]] | None = None,
+    ):
+        self.blocks = blocks
+        self.entry = entry
+        self.unresolved = [] if unresolved is None else unresolved
 
     def live_blocks(self) -> list[Block]:
         """Live blocks in ``blocks`` order, which is ascending id order."""

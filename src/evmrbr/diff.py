@@ -12,13 +12,12 @@ coincide.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .asm import disassemble
 from .cfg import Block, Cfg, id_sort_key, resolve_cfg, split_blocks, successors
 from .errors import EvmRbrError
 from .evm_exec import run_evm
-from .opcodes import KINDS
+from .opcodes import KINDS, Record
 from .rbr import Rule, rule_sort_key
 from .rbr_exec import index_rules, run_rbr
 from .translate import translate_cfg
@@ -33,22 +32,31 @@ CALLDATA_OFFSET_BOUND = 1 << 24
 _ENV_NAMES = tuple(sorted(arg for kind, arg in KINDS if kind == "env"))
 
 
-@dataclass
-class Divergence:
-    case: int
-    quantity: str
-    evm: str
-    rbr: str
+class Divergence(Record):
+    __slots__ = __match_args__ = ("case", "quantity", "evm", "rbr")
+
+    def __init__(self, case: int, quantity: str, evm: str, rbr: str):
+        self.case = case
+        self.quantity = quantity
+        self.evm = evm
+        self.rbr = rbr
 
     def line(self) -> str:
         return f"case {self.case}: {self.quantity} evm={self.evm} rbr={self.rbr}"
 
 
-@dataclass
-class DiffReport:
-    n_cases: int
-    divergences: list[Divergence] = field(default_factory=list)
-    executed_rules: set[str] = field(default_factory=set)
+class DiffReport(Record):
+    __slots__ = __match_args__ = ("n_cases", "divergences", "executed_rules")
+
+    def __init__(
+        self,
+        n_cases: int,
+        divergences: list[Divergence] | None = None,
+        executed_rules: set[str] | None = None,
+    ):
+        self.n_cases = n_cases
+        self.divergences = [] if divergences is None else divergences
+        self.executed_rules = set() if executed_rules is None else executed_rules
 
     @property
     def agreed(self) -> bool:

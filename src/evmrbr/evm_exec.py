@@ -21,24 +21,33 @@ oracle must avoid them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .asm import disassemble
 from .errors import EvmFault, StepLimitExceeded, UnsupportedOpcode
-from .opcodes import JUMPDEST, KINDS, WORD, for_byte
+from .opcodes import JUMPDEST, KINDS, WORD, Record, for_byte
 
 
-@dataclass
-class MachineState:
+class MachineState(Record):
     """Concrete machine state; stack top is the last element."""
 
-    stack: list[int] = field(default_factory=list)
-    memory: dict[int, int] = field(default_factory=dict)
-    storage: dict[int, int] = field(default_factory=dict)
-    calldata: bytes = b""
-    env: dict[str, int] = field(default_factory=dict)
-    halted: bool = False
-    pc: int = 0
+    __slots__ = __match_args__ = ("stack", "memory", "storage", "calldata", "env", "halted", "pc")
+
+    def __init__(
+        self,
+        stack: list[int] | None = None,
+        memory: dict[int, int] | None = None,
+        storage: dict[int, int] | None = None,
+        calldata: bytes = b"",
+        env: dict[str, int] | None = None,
+        halted: bool = False,
+        pc: int = 0,
+    ):
+        self.stack = [] if stack is None else stack
+        self.memory = {} if memory is None else memory
+        self.storage = {} if storage is None else storage
+        self.calldata = calldata
+        self.env = {} if env is None else env
+        self.halted = halted
+        self.pc = pc
 
 
 def run_evm(

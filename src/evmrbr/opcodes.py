@@ -8,24 +8,104 @@ that are not code).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable
 
 
-@dataclass(frozen=True)
-class Opcode:
+class _DataclassFields:
+    """``__dataclass_fields__`` of a record class, for callers of
+    ``dataclasses.replace``, ``fields``, ``asdict`` and ``astuple``.
+
+    The fields are made on first read, and only when ``dataclasses`` is
+    loaded already, as it is for any caller of those helpers; the package
+    itself never loads it.  They carry no types or defaults.
+    """
+
+    def __init__(self):
+        self.made: dict[type, dict] = {}
+
+    def __get__(self, record, cls):
+        fields = self.made.get(cls)
+        if fields is None:
+            dataclasses = sys.modules.get("dataclasses")
+            if dataclasses is None:
+                raise AttributeError("__dataclass_fields__")
+            twin = dataclasses.make_dataclass(cls.__name__, cls.__match_args__)
+            fields = self.made[cls] = twin.__dataclass_fields__
+        return fields
+
+
+class Record:
+    """Base of the package's records: value equality, and a repr that reads
+    ``Name(field=value, ...)``.
+
+    A subclass names its fields, in constructor order, in ``__match_args__``
+    (and, unless it needs a ``__dict__``, in ``__slots__`` too).  Two records
+    are equal when they are of one type and their fields are equal.  A record
+    does not hash, and copies, deep copies and pickles are rebuilt through
+    its constructor.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    # The fields of a record: a tuple, or the value of its one field.
+    _values = staticmethod(lambda record: ())
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__match_args__:
+            cls._values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Value(Record):
+    """An immutable record: no field can be set or deleted, and equal values
+    hash equal.  A subclass's ``__init__`` sets each field with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class Opcode(Value):
     """One opcode: byte value, stack effect and inline-data size.
 
     ``delta`` is the number of stack items consumed, ``alpha`` the number
-    produced.  ``immediate_len`` is nonzero only for PUSH1..PUSH32.
+    produced.  ``immediate_len`` is nonzero only for PUSH1..PUSH32.  The
+    opcode keeps a ``__dict__`` for its cached properties.
     """
 
-    mnemonic: str
-    code: int
-    delta: int
-    alpha: int
-    immediate_len: int = 0
+    __match_args__ = ("mnemonic", "code", "delta", "alpha", "immediate_len")
+
+    def __init__(self, mnemonic: str, code: int, delta: int, alpha: int, immediate_len: int = 0):
+        object.__setattr__(self, "mnemonic", mnemonic)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "immediate_len", immediate_len)
 
     @property
     def is_push(self) -> bool:

@@ -11,60 +11,75 @@ named quantities such as ``gas``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-
-@dataclass(frozen=True)
-class Num:
-    value: int
+from .opcodes import Record, Value
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Num(Value):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
+
+
+class Var(Value):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
 Atom = Union[Num, Var]
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Value):
     """Arithmetic over two atoms; op is one of + - * / % ^."""
 
-    op: str
-    lhs: Atom
-    rhs: Atom
+    __slots__ = __match_args__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Atom, rhs: Atom):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class BitOp:
+class BitOp(Value):
     """Bit operation functor; op is one of and, or, xor."""
 
-    op: str
-    lhs: Atom
-    rhs: Atom
+    __slots__ = __match_args__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Atom, rhs: Atom):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: Atom
+class Not(Value):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Atom):
+        object.__setattr__(self, "operand", operand)
 
 
 Expr = Union[Num, Var, BinOp, BitOp, Not]
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: str
-    value: Expr
+class Assign(Value):
+    __slots__ = __match_args__ = ("target", "value")
+
+    def __init__(self, target: str, value: Expr):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Nop:
+class Nop(Value):
     """Marker recording one original bytecode mnemonic for cost accounting."""
 
-    mnemonic: str
+    __slots__ = __match_args__ = ("mnemonic",)
+
+    def __init__(self, mnemonic: str):
+        object.__setattr__(self, "mnemonic", mnemonic)
 
 
 Statement = Union[Assign, Nop]
@@ -81,30 +96,33 @@ COMPLEMENT = {
 }
 
 
-@dataclass(frozen=True)
-class Guard:
-    relation: str
-    lhs: Atom
-    rhs: Atom
+class Guard(Value):
+    __slots__ = __match_args__ = ("relation", "lhs", "rhs")
+
+    def __init__(self, relation: str, lhs: Atom, rhs: Atom):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def negated(self) -> "Guard":
         return Guard(COMPLEMENT[self.relation], self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Value):
     """Continuation: the callee name plus how many stack slots are passed.
 
     The argument list is always ``s0..s<stack_count-1>`` followed by the
     shared field/local/blockchain variables, so the count fixes it fully.
     """
 
-    target: str
-    stack_count: int
+    __slots__ = __match_args__ = ("target", "stack_count")
+
+    def __init__(self, target: str, stack_count: int):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "stack_count", stack_count)
 
 
-@dataclass
-class VarLayout:
+class VarLayout(Record):
     """Variable families shared by every rule of one translated program.
 
     ``k`` is the highest constant storage key seen and ``r`` the highest
@@ -117,12 +135,23 @@ class VarLayout:
     tables are unavailable.
     """
 
-    k: int = -1
-    r: int = -1
-    lmap: dict[int, int] = field(default_factory=dict)
-    md_offsets: tuple[int, ...] = ()
-    md_count: int = 0
-    named_bc: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("k", "r", "lmap", "md_offsets", "md_count", "named_bc")
+
+    def __init__(
+        self,
+        k: int = -1,
+        r: int = -1,
+        lmap: dict[int, int] | None = None,
+        md_offsets: tuple[int, ...] = (),
+        md_count: int = 0,
+        named_bc: tuple[str, ...] = (),
+    ):
+        self.k = k
+        self.r = r
+        self.lmap = {} if lmap is None else lmap
+        self.md_offsets = md_offsets
+        self.md_count = md_count
+        self.named_bc = named_bc
 
     def bc_names(self) -> list[str]:
         return [f"md{i}" for i in range(self.md_count)] + list(self.named_bc)
@@ -142,16 +171,26 @@ class VarLayout:
         return [f"s{i}" for i in range(stack_count)] + self.param_names()
 
 
-@dataclass
-class Rule:
+class Rule(Record):
     """One rule: ``name(params) => [guard |] body [, call(...)]``."""
 
-    name: str
-    stack_params: int
-    layout: VarLayout
-    guard: Optional[Guard] = None
-    body: list[Statement] = field(default_factory=list)
-    continuation: Optional[Call] = None
+    __slots__ = __match_args__ = ("name", "stack_params", "layout", "guard", "body", "continuation")
+
+    def __init__(
+        self,
+        name: str,
+        stack_params: int,
+        layout: VarLayout,
+        guard: Optional[Guard] = None,
+        body: list[Statement] | None = None,
+        continuation: Optional[Call] = None,
+    ):
+        self.name = name
+        self.stack_params = stack_params
+        self.layout = layout
+        self.guard = guard
+        self.body = [] if body is None else body
+        self.continuation = continuation
 
     @property
     def is_jump(self) -> bool:

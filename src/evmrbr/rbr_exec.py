@@ -18,22 +18,23 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 
 from .errors import EvmRbrError, NoApplicableRule, StepLimitExceeded, UnboundVariable
-from .opcodes import WORD
+from .opcodes import WORD, Record, Value
 from .rbr import Assign, BinOp, BitOp, Not, Num, Rule, Var
 
 # ``not x`` runs as ``x xor`` this word mask.
 _NOT_MASK = Num(WORD)
 
 
-@dataclass
-class RbrState:
+class RbrState(Record):
     """Bindings of the current rule frame plus the rule it is in."""
 
-    bindings: dict[str, int] = field(default_factory=dict)
-    rule: str = ""
+    __slots__ = __match_args__ = ("bindings", "rule")
+
+    def __init__(self, bindings: dict[str, int] | None = None, rule: str = ""):
+        self.bindings = {} if bindings is None else bindings
+        self.rule = rule
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -96,8 +97,7 @@ _RELATION_TESTS = {
 UNBOUND = object()
 
 
-@dataclass(frozen=True)
-class RuleIndex:
+class RuleIndex(Value):
     """Rules prepared once for any number of runs, over numbered variables.
 
     Every variable name gets one frame slot.  The layout parameters come
@@ -129,11 +129,21 @@ class RuleIndex:
     slot and ``template`` a frame with every slot unbound.
     """
 
-    steps: tuple[tuple, ...]
-    entries: dict[str, int]
-    names: tuple[str, ...]
-    slots: dict[str, int]
-    template: tuple
+    __slots__ = __match_args__ = ("steps", "entries", "names", "slots", "template")
+
+    def __init__(
+        self,
+        steps: tuple[tuple, ...],
+        entries: dict[str, int],
+        names: tuple[str, ...],
+        slots: dict[str, int],
+        template: tuple,
+    ):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "template", template)
 
 
 def index_rules(rules: list[Rule]) -> RuleIndex:

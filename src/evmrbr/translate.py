@@ -42,11 +42,10 @@ call, except that every ``nop`` marker of one opcode is one object.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 from .cfg import Block, Cfg, Jump, JumpI, id_sort_key, successors
 from .errors import EvmRbrError, StackUnderflow
-from .opcodes import KINDS, for_byte
+from .opcodes import KINDS, Record, for_byte
 from .rbr import (
     Assign,
     BinOp,
@@ -103,8 +102,7 @@ class UnsupportedGuard(EvmRbrError):
     pattern; the caller falls back to value semantics."""
 
 
-@dataclass
-class TranslationState:
+class TranslationState(Record):
     """Mutable cursor while translating one rule.
 
     ``m`` is the index of the stack top (-1 = empty).  ``consts`` holds the
@@ -112,11 +110,21 @@ class TranslationState:
     ``tau`` reads it.
     """
 
-    m: int
-    block_id: str = "?"
-    fresh_counter: int = 0
-    nops: bool = False
-    consts: dict[int, tuple] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("m", "block_id", "fresh_counter", "nops", "consts")
+
+    def __init__(
+        self,
+        m: int,
+        block_id: str = "?",
+        fresh_counter: int = 0,
+        nops: bool = False,
+        consts: dict[int, tuple] | None = None,
+    ):
+        self.m = m
+        self.block_id = block_id
+        self.fresh_counter = fresh_counter
+        self.nops = nops
+        self.consts = {} if consts is None else consts
 
     def fresh(self) -> Var:
         var = Var(f"fresh_{self.fresh_counter}")

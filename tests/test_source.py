@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,6 +74,31 @@ def _imported_modules(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_cli_imports_gc(path):
     assert ("gc" in _imported_modules(path)) is (path.name == "cli.py")
+
+
+# The records are plain classes: dataclasses, with the inspect, ast and dis
+# modules it loads, took about a third of the time ``import evmrbr.cli`` took.
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in _imported_modules(path)
+
+
+# The modules every CLI command loads; the rule parser stays out, since no
+# command reads .rbr text.
+_CLI_MODULES = {"evmrbr"} | {
+    f"evmrbr.{name}"
+    for name in ("asm", "cfg", "cli", "diff", "emit", "errors", "evm_exec", "loops", "opcodes",
+                 "rbr", "rbr_exec", "translate")
+}
+
+
+def test_importing_the_cli_loads_its_modules_and_not_dataclasses():
+    code = "import sys, evmrbr.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True, timeout=60).stdout.split())
+    assert "dataclasses" not in loaded
+    assert {name for name in loaded if name.partition(".")[0] == "evmrbr"} == _CLI_MODULES
 
 
 # The concrete oracle finds block entries from execution alone: a leader
