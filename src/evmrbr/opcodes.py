@@ -4,6 +4,10 @@ Every byte value decodes to exactly one opcode: bytes without an assigned
 meaning map to a synthetic halting opcode named ``INVALID_xx`` so that
 disassembly is total (deployed contracts routinely carry metadata trailers
 that are not code).
+
+The module also holds ``Record`` and ``Value``, the bases of the package's
+record classes: it imports no other module of the package, so every module
+can import them from here.
 """
 
 from __future__ import annotations
