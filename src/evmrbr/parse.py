@@ -7,9 +7,12 @@ tables survive the round trip.
 
 Two readers share no state.  ``_read_emitted`` reads only the exact shape
 ``emit_rbr`` and ``export_saco`` write: header comment lines, then rules
-separated by blank lines, each line matched in full by one pattern that
-admits nothing the token reader would reject.  Its memos map each list,
-statement and guard text to what it stands for.  On any other text it
+separated by blank lines.  It splits heads (``<id>(<list>) =>``), calls
+(``  call(<id>(<list>))``) and guarded calls (``<guard> | <call>``) by
+position, and checks ids, list texts, guard texts and statement lines by
+pattern, admitting nothing the token reader would reject.  Its memos hold
+the ids it has checked and map each list, statement and guard text to what
+it stands for, so each distinct text is checked once.  On any other text it
 returns None and never raises.  Then the whole text is searched for a bad
 character (one outside comments that begins no token) and read by
 ``_read_tokens``, which scans one token at a time.  The token reader is the
@@ -67,16 +70,12 @@ _NEXT = {"(": re.compile(_SKIP + r"\(", re.A), "=": re.compile(_SKIP + r"=(?!>)"
 # comment) and the ">" of "=>".  One character class, so search is fast.
 _SUSPECT = re.compile(r"[^\s\dA-Za-z_(),|=+*/%^]", re.A)
 
-# The lines emit_rbr writes, each matched in full.  A digit run has at most
-# 99 digits, far below any int-string limit, and the only fresh_ names are
-# fresh_<n>, so a match passes every check the token reader makes.
-_ID = r"((?:block|jump)_\d{1,99}(?:_c\d{1,99})?)"
+# What the emitted reader checks by pattern.  A digit run has at most 99
+# digits, far below any int-string limit, and the only fresh_ names are
+# fresh_<n>, so a text it reads passes every check the token reader makes.
 _ARG = r"((?!fresh_)[A-Za-z_]\w*|fresh_\d{1,99}|\d{1,99})"
-_CALLS = rf"call\({_ID}\(([^()]*)\)\)"  # groups: callee, list text
-_EMITTED_HEAD = re.compile(rf"{_ID}\(([^()]*)\) =>", re.A)
-_EMITTED_CALL = re.compile("  " + _CALLS, re.A)
-# Groups: 1 guard text, 2 relation, 3-4 operands, then the call's.
-_EMITTED_JUMP = re.compile(rf"  (({'|'.join(RELATIONS)})\({_ARG}, {_ARG}\)) \| {_CALLS}", re.A)
+# Groups: 1 relation, 2-3 operands.
+_EMITTED_GUARD = re.compile(rf"  ({'|'.join(RELATIONS)})\({_ARG}, {_ARG}\)", re.A)
 # Groups: 1 target; 2-4 a functor and its operands, 5 a negated operand, or
 # 6-8 an operand with an optional operator and second operand; 9 a nop
 # marker's mnemonic.
@@ -151,10 +150,12 @@ def _read_emitted(text: str, lmap, md_offsets) -> list[Rule] | None:
     if not text.endswith("\n"):
         return None
     # Memos from a list text to its stack count and other names, from a
-    # statement line to its statement and from a guard text to its guard.
+    # statement line to its statement and from a guard text to its guard,
+    # and the rule ids checked so far.
     lists: dict[str, tuple[int, list[str]]] = {}
     statements: dict[str, Statement] = {}
     guards: dict[str, Guard] = {}
+    ids: set[str] = set()
     layout = params = None
     rules = []
     end = len(text) - 1  # the last newline
@@ -164,11 +165,15 @@ def _read_emitted(text: str, lmap, md_offsets) -> list[Rule] | None:
             stop = end
         head, _, body_text = text[start:stop].partition("\n")
         start = stop + 2
-        match = _EMITTED_HEAD.fullmatch(head)
-        split = match and _emitted_list(lists, match.group(2), params)
+        # A head is <id>(<list>) =>; the list check rejects any parenthesis.
+        paren = head.find("(")
+        if paren < 0 or not head.endswith(") =>"):
+            return None
+        name = head[:paren]
+        split = _emitted_id(ids, name) and _emitted_list(lists, head[paren + 1 : -4], params)
         if not split:
             return None
-        name, (stack_count, rest) = match.group(1), split
+        stack_count, rest = split
         if layout is None:
             try:
                 layout = _layout_from_params(rest, lmap, md_offsets, text, 0)
@@ -179,20 +184,24 @@ def _read_emitted(text: str, lmap, md_offsets) -> list[Rule] | None:
             return None
         items = body_text.split(",\n") if body_text else []
         if name[0] == "j":
-            match = len(items) == 1 and _EMITTED_JUMP.fullmatch(items[0])
-            call = match and _emitted_call(lists, params, *match.group(5, 6))
+            # The only line is <guard> | <call>.
+            bar = items[0].find(" | ") if len(items) == 1 else -1
+            call = bar >= 0 and _emitted_call(lists, ids, params, items[0], bar + 3)
             if not call:
                 return None
-            guard_text, relation, lhs, rhs = match.group(1, 2, 3, 4)
+            guard_text = items[0][:bar]
             guard = guards.get(guard_text)
             if guard is None:
+                match = _EMITTED_GUARD.fullmatch(guard_text)
+                if match is None:
+                    return None
+                relation, lhs, rhs = match.groups()
                 guard = guards[guard_text] = Guard(relation, _atom(lhs), _atom(rhs))
             rules.append(Rule(name, stack_count, layout, guard, [], call))
             continue
         call = None
         if items and items[-1].startswith("  call("):
-            match = _EMITTED_CALL.fullmatch(items.pop())
-            call = match and _emitted_call(lists, params, *match.groups())
+            call = _emitted_call(lists, ids, params, items.pop(), 2)
             if not call:
                 return None
         body = []
@@ -206,6 +215,17 @@ def _read_emitted(text: str, lmap, md_offsets) -> list[Rule] | None:
             body.append(stmt)
         rules.append(Rule(name, stack_count, layout, None, body, call))
     return rules
+
+
+def _emitted_id(ids: set[str], name: str) -> bool:
+    """Whether ``name`` is a rule id whose digit runs have at most 99 digits.
+    ``ids`` holds the ids found so far and gains ``name`` if it is one."""
+    if name not in ids:
+        match = _RULE_ID.fullmatch(name)
+        if match is None or max(map(len, match.groups(""))) > 99:
+            return False
+        ids.add(name)
+    return True
 
 
 def _emitted_list(lists, key: str, params) -> tuple[int, list[str]] | None:
@@ -224,9 +244,14 @@ def _emitted_list(lists, key: str, params) -> tuple[int, list[str]] | None:
     return split
 
 
-def _emitted_call(lists, params, callee: str, key: str) -> Call | None:
-    split = _emitted_list(lists, key, params)
-    if split is None or split[1] is not params:
+def _emitted_call(lists, ids, params, line: str, at: int) -> Call | None:
+    """The call that ``line[at:]`` reads if it is ``call(<id>(<list>))`` with
+    the other names ``params``, else None."""
+    if not (line.startswith("call(", at) and line.endswith("))")):
+        return None
+    callee, paren, key = line[at + 5 : -2].partition("(")
+    split = paren and _emitted_id(ids, callee) and _emitted_list(lists, key, params)
+    if not split or split[1] is not params:
         return None
     return Call(callee, split[0])
 

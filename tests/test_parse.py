@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from corpus import CORPUS
-from progen import gen_program
+from progen import Asm, gen_program
 
 from evmrbr import decompile, parse
 from evmrbr.asm import disassemble
@@ -79,6 +79,13 @@ def test_parse_rejects_fresh_name_without_index():
         ("block_0() => call(jump_1_c{n}())", 1, 27),
         ("block_0() => fresh_{n} = 1", 1, 20),
         ("block_0() => s0 = fresh_{n}", 1, 25),
+        # The emitted shape, which the emitted reader takes up to 99 digits.
+        ("block_{n}() =>\n  s0 = 1\n", 1, 7),
+        ("block_0() =>\n  call(jump_1_c{n}())\n", 2, 16),
+        ("jump_{n}(s0) =>\n  eq(s0, 1) | call(block_1())\n", 1, 6),
+        ("jump_0(s0) =>\n  eq(s0, 1) | call(block_1_c{n}())\n", 2, 29),
+        ("jump_0(s0) =>\n  eq(s0, {n}) | call(block_1())\n", 2, 10),
+        ("block_0(s0, s1) =>\n  s0 = s1 + {n}\n", 2, 13),
     ],
 )
 def test_parse_rejects_overlong_numeral(template, line, column):
@@ -343,6 +350,15 @@ _LINE_EDITS = [
     (r"\bfresh_\d+|\b[sgl]\d+\b", "fresh_x"),
     # A clone's rule id, one without its index and one of 100 digits.
     (r"\b(?:block|jump)_\d+\b", (r"\g<0>_c1", r"\g<0>_c", r"\g<0>_c" + "1" * 100)),
+    # Where the emitted reader splits a line by position: a parenthesis
+    # after the first name of a head's or call's list, a head's arrow
+    # without its space, a guard's bar without its spaces or doubled, a
+    # call closed by one parenthesis and a space before a callee's list.
+    (r"\d\(\w+", (r"\g<0>(", r"\g<0>)")),
+    (r"\) =>$", ")=>"),
+    (r" \| ", ("|", " | | ")),
+    (r"\)\)$", ")"),
+    (r"call\(\w+", r"\g<0> "),
 ]
 
 
@@ -808,6 +824,37 @@ def test_crlf_24k_text_takes_no_token_scans(monkeypatch, kind):
     parsed, scans = _parse_counting_scans(monkeypatch, text.replace("\n", "\r\n"))
     assert parsed == parse_rbr(text)
     assert scans == 0
+
+
+def _clone_rules():
+    """Six subroutines called from 30 sites each.  The resolver clones a
+    subroutine once per site, and each one branches to its return on the
+    argument, so most heads and callees, block and jump alike, carry clone
+    ids ``<pc>_c<n>``.  The 24 KB contract has no clones."""
+    asm = Asm()
+    for site in range(180):
+        ret = asm.fresh_label("ret")
+        asm.push_label(ret).op(("CALLER", "NUMBER")[site % 2]).push_label(f"sub{site % 6}")
+        asm.op("JUMP").label(ret).op("JUMPDEST").push(site % 4).op("SSTORE")
+    asm.op("STOP")
+    for sub in range(6):
+        asm.label(f"sub{sub}").op("JUMPDEST").op("SWAP1").op("DUP2").op("SWAP1").op("JUMPI")
+        asm.op("STOP")
+    return decompile(asm.assemble())
+
+
+def test_clone_heavy_text_takes_the_emitted_reader(monkeypatch):
+    rules = _clone_rules()
+    text = emit_rbr(rules)
+    heads = re.findall(r"^(block|jump)_\d+_c\d+\(", text, re.M)
+    assert heads.count("block") >= 180 and heads.count("jump") >= 180
+    assert len(re.findall(r"call\((?:block|jump)_\d+_c\d+\(", text)) >= 360
+    assert _read_both(text) == rules
+    parsed, scans = _parse_counting_scans(monkeypatch, text)
+    assert parsed == rules
+    assert scans == 0
+    rng = random.Random("line-edits-clones")
+    assert sum(_read_both(_line_edited(rng, text)) is not None for _ in range(30)) > 0
 
 
 def test_mixed_line_endings_parse_as_the_token_reader_does(monkeypatch):
